@@ -15,7 +15,7 @@ Not a paper figure: this benchmark tracks the cluster layer of
    result bytes through the links.  This is asserted unconditionally — it
    is a property of the protocol, not of the machine.
 3. **Correctness sweep** — {1, 2, 4} workers × {local, socket} transports,
-   each bit-identical to ``method="tiled"``.
+   each bit-identical to the serial in-process build.
 4. **Failure injection** — for each transport, a 2-worker build with one
    worker severed mid-shard; the shard must be re-issued and the result
    stay bit-identical.
@@ -40,11 +40,10 @@ import numpy as np
 from repro.cluster import (
     LocalCluster,
     TileFoldContext,
-    build_evidence_set_cluster,
     merge_partials_tree,
     shard_tasks,
 )
-from repro.core.evidence_builder import build_evidence_set_tiled
+from repro.core.evidence_builder import build_evidence_set
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
 from repro.engine.kernel import TileKernel
@@ -75,7 +74,7 @@ def measure_serial(relation, space) -> tuple[float, int]:
     best = float("inf")
     for _ in range(2):
         started = time.perf_counter()
-        evidence = build_evidence_set_tiled(
+        evidence = build_evidence_set(
             relation, space, include_participation=False
         )
         best = min(best, time.perf_counter() - started)
@@ -86,8 +85,8 @@ def measure_cluster(relation, space, n_workers: int, use_shm: bool = False):
     """One cluster build: wall seconds, evidence count, result bytes."""
     with LocalCluster(n_workers, transport="socket", use_shm=use_shm) as cluster:
         started = time.perf_counter()
-        evidence = build_evidence_set_cluster(
-            relation, space, cluster, include_participation=False
+        evidence = build_evidence_set(
+            relation, space, include_participation=False, cluster=cluster
         )
         elapsed = time.perf_counter() - started
         received = cluster.coordinator.bytes_received
@@ -124,13 +123,13 @@ def run_bytes_comparison(relation, space, n_workers: int = 2) -> dict[str, objec
 
 
 def run_correctness(verify_relation, verify_space, worker_counts) -> list[dict[str, object]]:
-    reference = build_evidence_set_tiled(verify_relation, verify_space)
+    reference = build_evidence_set(verify_relation, verify_space)
     rows: list[dict[str, object]] = []
     for transport in ("local", "socket"):
         for n_workers in worker_counts:
             with LocalCluster(n_workers, transport=transport) as cluster:
-                built = build_evidence_set_cluster(
-                    verify_relation, verify_space, cluster, tile_rows=24
+                built = build_evidence_set(
+                    verify_relation, verify_space, tile_rows=24, cluster=cluster
                 )
             rows.append({
                 "transport": transport, "n_workers": n_workers,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import shutil
 import sys
 import tempfile
@@ -39,6 +38,8 @@ from repro.data.types import ColumnType
 from repro.durability.journal import StoreJournal, plain_rows, relation_types
 from repro.incremental.store import EvidenceStore
 
+from _harness import percentile
+
 #: Rows of the base relation the appends land on.
 BENCH_ROWS = 2000
 
@@ -50,13 +51,6 @@ MAX_OVERHEAD_RATIO = 1.5
 
 #: Appended batches per recovery scenario (the WAL length axis).
 RECOVERY_LENGTHS = (8, 32, 128)
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The q-th percentile (0..100) of ``values`` by nearest-rank."""
-    ranked = sorted(values)
-    rank = max(0, math.ceil(q / 100.0 * len(ranked)) - 1)
-    return ranked[rank]
 
 
 def make_rows(n_rows: int, extra: int) -> tuple[list[dict], dict[str, str]]:

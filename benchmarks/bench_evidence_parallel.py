@@ -2,8 +2,8 @@
 
 Not a paper figure: this benchmark tracks the parallel evidence engine of
 ``repro.engine``.  It builds the evidence set of the 1k-row benchmark
-relation with the serial tiled builder and with
-``build_evidence_set_parallel`` at 1, 2 and 4 workers, reporting wall-clock
+relation with ``build_evidence_set`` folding serially in-process and
+over a process pool of 1, 2 and 4 workers, reporting wall-clock
 seconds, the building process's tracemalloc peak, and the pool workers'
 peak RSS.  Each configuration is measured inside its own child process:
 ``getrusage(RUSAGE_CHILDREN)`` is a lifetime high-water mark over *all*
@@ -33,10 +33,9 @@ import sys
 import time
 import tracemalloc
 
-from repro.core.evidence_builder import build_evidence_set_tiled
+from repro.core.evidence_builder import build_evidence_set
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
-from repro.engine import build_evidence_set_parallel
 
 #: Rows of the benchmark relation (the "1k-row" reference point).
 BENCH_ROWS = 1000
@@ -105,14 +104,14 @@ def run_parallel_engine_comparison(n_rows: int = BENCH_ROWS) -> list[dict[str, o
             relation.string_codes(column, column)
 
     rows: list[dict[str, object]] = []
-    measured = _measure(build_evidence_set_tiled, relation, space)
+    measured = _measure(build_evidence_set, relation, space)
     measured.update({"builder": "tiled", "n_workers": "-"})
     rows.append(measured)
     baseline = float(measured["seconds"])
 
     for n_workers in WORKER_COUNTS:
         measured = _measure(
-            build_evidence_set_parallel, relation, space, n_workers=n_workers
+            build_evidence_set, relation, space, n_workers=n_workers
         )
         measured.update({
             "builder": "parallel",

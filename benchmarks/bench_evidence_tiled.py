@@ -17,8 +17,8 @@ import time
 import tracemalloc
 
 from repro.core.evidence_builder import (
+    build_evidence_set,
     build_evidence_set_dense,
-    build_evidence_set_tiled,
 )
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
@@ -65,7 +65,7 @@ def run_evidence_builder_comparison(n_rows: int = BENCH_ROWS) -> list[dict[str, 
     })
     for tile_rows in TILE_SIZES:
         tiled_runs = [
-            _measure(build_evidence_set_tiled, relation, space, tile_rows=tile_rows)
+            _measure(build_evidence_set, relation, space, tile_rows=tile_rows)
             for _ in range(2)
         ]
         seconds, peak, n_evidences = min(tiled_runs)

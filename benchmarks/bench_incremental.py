@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from repro.core.evidence_builder import build_evidence_set_tiled
+from repro.core.evidence_builder import build_evidence_set
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
 from repro.incremental import EvidenceStore
@@ -81,7 +81,7 @@ def run_incremental_comparison(
         concatenated = base.copy()
         concatenated.append_rows(batch)
         started = time.perf_counter()
-        rebuilt = build_evidence_set_tiled(
+        rebuilt = build_evidence_set(
             concatenated, space, include_participation=False
         )
         rebuild_seconds = time.perf_counter() - started

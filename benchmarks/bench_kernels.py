@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.adc_enum import ADCEnum
 from repro.core.approximation import F1
-from repro.core.evidence_builder import build_evidence_set_tiled
+from repro.core.evidence_builder import build_evidence_set
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
 from repro.engine.kernel import TileKernel
@@ -58,18 +58,16 @@ REPEATS = 3
 
 
 def _compiled_backend():
-    """The preferred compiled backend of this host, or ``None``.
+    """The host's compiled (C extension) backend, or ``None``.
 
     Resolved explicitly (not through the environment) so the benchmark can
     compare both backends regardless of what ``REPRO_NATIVE`` selects for
     the process default.
     """
-    for name in ("cext", "numba"):
-        try:
-            return dispatch.resolve_backend(name)
-        except RuntimeError:
-            continue
-    return None
+    try:
+        return dispatch.resolve_backend("cext")
+    except RuntimeError:
+        return None
 
 
 def _best_seconds(fn, repeats: int = REPEATS, inner: int = 1) -> float:
@@ -123,7 +121,7 @@ def _build_row(compiled, relation, space) -> dict[str, object]:
 
     def build(backend):
         with dispatch.use_backend(backend):
-            return build_evidence_set_tiled(relation, space)
+            return build_evidence_set(relation, space)
 
     reference = build("numpy")
     numpy_seconds = _best_seconds(lambda: build("numpy"))
@@ -188,7 +186,7 @@ def run_kernel_comparison(n_rows: int = BENCH_ROWS) -> dict[str, object]:
     # Warm the factorization caches and the packed tile kernel once so
     # neither backend pays one-time costs inside the timed region.
     kernel = TileKernel.from_relation(relation, space)
-    evidence = build_evidence_set_tiled(relation, space)
+    evidence = build_evidence_set(relation, space)
 
     return {
         "benchmark": "kernels",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import signal
@@ -41,8 +40,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
-from repro.incremental import EvidenceStore
 from repro.serve import ServeClient
+
+from _harness import boot_server, mine_constraint_specs, percentile
 
 #: Rows of the served base relation (the n=2000 point the gate is set at).
 BENCH_ROWS = 2000
@@ -60,71 +60,6 @@ MAX_READ_OVERHEAD = 1.05
 #: Untimed requests per configuration before the measured loops.
 WARMUP_REPS = 15
 
-#: Rows mined locally to produce the declared DCs.
-MINE_ROWS = 300
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The q-th percentile (0..100) of ``values`` by nearest-rank."""
-    ranked = sorted(values)
-    rank = max(0, math.ceil(q / 100.0 * len(ranked)) - 1)
-    return ranked[rank]
-
-
-def boot_server(
-    obs_enabled: bool, metrics_port: int | None = None
-) -> tuple[subprocess.Popen, str, int, tuple[str, int] | None]:
-    """Start ``python -m repro.serve`` with REPRO_OBS set accordingly."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_OBS"] = "1" if obs_enabled else "0"
-    command = [sys.executable, "-m", "repro.serve", "--listen", "127.0.0.1:0"]
-    if metrics_port is not None:
-        command += ["--metrics-port", str(metrics_port)]
-    proc = subprocess.Popen(
-        command, stdout=subprocess.PIPE, env=env, text=True
-    )
-    banner = proc.stdout.readline()
-    match = re.search(r"listening on ([\d.]+):(\d+)", banner)
-    if not match:
-        proc.kill()
-        raise RuntimeError(f"server did not announce its address: {banner!r}")
-    metrics_address = None
-    if metrics_port is not None:
-        metrics_banner = proc.stdout.readline()
-        metrics_match = re.search(r"metrics on ([\d.]+):(\d+)", metrics_banner)
-        if metrics_match:
-            metrics_address = (
-                metrics_match.group(1), int(metrics_match.group(2))
-            )
-    return proc, match.group(1), int(match.group(2)), metrics_address
-
-
-def mine_constraint_specs(base, space, max_dcs: int = 4) -> list[list[dict]]:
-    """Mine DCs on a prefix sample and return their wire predicate specs."""
-    sample = base.take(range(min(MINE_ROWS, base.n_rows)))
-    # Size cap keeps the setup phase to seconds; the served workload only
-    # needs a handful of valid DCs, not the full frontier.
-    adcs = EvidenceStore(sample, space=space).remine(0.1, max_dc_size=3)
-    if not adcs:
-        adcs = EvidenceStore(sample, space=space).remine(0.3, max_dc_size=3)
-    specs = []
-    for adc in adcs[:max_dcs]:
-        specs.append([
-            {
-                "left": p.left_column,
-                "op": p.operator.value,
-                "right": p.right_column,
-                "form": p.form.value,
-            }
-            for p in adc.constraint.predicates
-        ])
-    if not specs:
-        raise RuntimeError("no DCs mined on the sample; cannot benchmark")
-    return specs
-
-
 def run_obs_benchmark(
     n_rows: int, append_reps: int, read_reps: int
 ) -> dict[str, object]:
@@ -138,7 +73,7 @@ def run_obs_benchmark(
     pool = generate_dataset("tax", n_rows=n_rows + extra, seed=7).relation
     base = pool.take(range(n_rows))
     space = build_predicate_space(base)
-    specs = mine_constraint_specs(base, space)
+    specs = mine_constraint_specs(base, space, max_dc_size=3)
     seed_rows = [base.row(i) for i in range(base.n_rows)]
 
     configs = [
@@ -150,7 +85,8 @@ def run_obs_benchmark(
         for config in configs:
             obs_enabled = config["obs_enabled"]
             proc, host, port, metrics_address = boot_server(
-                obs_enabled, metrics_port=0 if obs_enabled else None
+                {"REPRO_OBS": "1" if obs_enabled else "0"},
+                metrics_port=0 if obs_enabled else None,
             )
             procs.append(proc)
             client = ServeClient(host, port, timeout=300.0)

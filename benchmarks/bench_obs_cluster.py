@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -53,6 +52,8 @@ from repro.engine.kernel import TileKernel
 from repro.engine.scheduler import TileScheduler
 from repro.obs import Span
 from repro.obs import spans as obs_spans
+
+from _harness import percentile
 
 #: Rows of the benchmark relation (the n=2000 point the gate is set at).
 BENCH_ROWS = 2000
@@ -75,13 +76,6 @@ TILE_ROWS = 200
 
 #: Shard tasks requested per fold.
 N_TASKS = 8
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The q-th percentile (0..100) of ``values`` by nearest-rank."""
-    ranked = sorted(values)
-    rank = max(0, math.ceil(q / 100.0 * len(ranked)) - 1)
-    return ranked[rank]
 
 
 def run_cluster_trace_benchmark(n_rows: int, reps: int) -> dict[str, object]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import signal
@@ -43,8 +42,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
-from repro.incremental import EvidenceStore
 from repro.serve import ServeClient
+
+from _harness import boot_server, mine_constraint_specs, percentile
 
 #: Rows of the served base relation.
 BENCH_ROWS = 2000
@@ -60,64 +60,6 @@ CLIENTS = 4
 
 #: Minimum counter-read vs finalize-read speedup required at BENCH_ROWS.
 EXPECTED_READ_SPEEDUP = 5.0
-
-#: Rows mined locally to produce the declared DCs (mining cost is not what
-#: this benchmark measures, so it runs on a prefix sample).
-MINE_ROWS = 300
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The q-th percentile (0..100) of ``values`` by nearest-rank."""
-    ranked = sorted(values)
-    rank = max(0, math.ceil(q / 100.0 * len(ranked)) - 1)
-    return ranked[rank]
-
-
-def boot_server() -> tuple[subprocess.Popen, str, int]:
-    """Start ``python -m repro.serve`` on an OS-assigned port."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE,
-        env=env,
-        text=True,
-    )
-    banner = proc.stdout.readline()
-    match = re.search(r"listening on ([\d.]+):(\d+)", banner)
-    if not match:
-        proc.kill()
-        raise RuntimeError(f"server did not announce its address: {banner!r}")
-    return proc, match.group(1), int(match.group(2))
-
-
-def mine_constraint_specs(base, space, max_dcs: int = 4) -> list[list[dict]]:
-    """Mine DCs on a prefix sample and return their wire predicate specs.
-
-    The sample store shares the *base* relation's predicate space, so every
-    mined predicate is guaranteed to exist in the served store's space
-    (``build_predicate_space`` is deterministic in the schema and data).
-    """
-    sample = base.take(range(min(MINE_ROWS, base.n_rows)))
-    adcs = EvidenceStore(sample, space=space).remine(0.1)
-    if not adcs:
-        adcs = EvidenceStore(sample, space=space).remine(0.3)
-    specs = []
-    for adc in adcs[:max_dcs]:
-        specs.append([
-            {
-                "left": p.left_column,
-                "op": p.operator.value,
-                "right": p.right_column,
-                "form": p.form.value,
-            }
-            for p in adc.constraint.predicates
-        ])
-    if not specs:
-        raise RuntimeError("no DCs mined on the sample; cannot benchmark")
-    return specs
-
 
 def measure_read_modes(
     client: ServeClient, pool, cursor: int, reps: int
@@ -258,7 +200,7 @@ def run_serve_benchmark(
     space = build_predicate_space(base)
     specs = mine_constraint_specs(base, space)
 
-    proc, host, port = boot_server()
+    proc, host, port, _ = boot_server()
     try:
         with ServeClient(host, port, timeout=300.0) as client:
             started = time.perf_counter()

@@ -8,7 +8,7 @@ The smallest end-to-end cluster deployment, all on this machine:
    that command on each machine instead);
 2. mine with :class:`~repro.core.miner.ADCMiner`, evidence tiles built
    over the workers and the enumeration's root subtrees farmed out too;
-3. compare against a plain single-process ``method="tiled"`` run — the
+3. compare against a plain single-process ``ADCMiner`` run — the
    cluster invariant is *bit-identity*, not approximation, so the DC
    lists must match exactly.
 
@@ -30,7 +30,7 @@ MAX_DC_SIZE = 3  # keep the enumeration tractable on the dense tax space
 def main() -> None:
     relation = generate_dataset("tax", n_rows=ROWS, seed=7).relation
 
-    print(f"mining {ROWS} rows serially (method='tiled') ...")
+    print(f"mining {ROWS} rows serially in-process ...")
     serial = ADCMiner("f1", EPSILON, max_dc_size=MAX_DC_SIZE).mine(relation)
     print(f"  {len(serial)} minimal ADCs in {serial.timings.total:.2f}s "
           f"(evidence {serial.timings.evidence:.2f}s)")

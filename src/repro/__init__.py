@@ -40,8 +40,6 @@ from repro.core import (
     TileKernel,
     TileScheduler,
     build_evidence_set,
-    build_evidence_set_parallel,
-    build_evidence_set_tiled,
     build_predicate_space,
     choose_tile_rows,
     enumerate_adcs,
@@ -55,7 +53,6 @@ from repro.incremental import (
 from repro.cluster import (
     ClusterCoordinator,
     LocalCluster,
-    build_evidence_set_cluster,
     parallel_enumerate,
 )
 
@@ -74,8 +71,6 @@ __all__ = [
     "DenialConstraint",
     "EvidenceSet",
     "build_evidence_set",
-    "build_evidence_set_tiled",
-    "build_evidence_set_parallel",
     "TileScheduler",
     "TileKernel",
     "PartialEvidenceSet",
@@ -95,6 +90,5 @@ __all__ = [
     "ViolationService",
     "ClusterCoordinator",
     "LocalCluster",
-    "build_evidence_set_cluster",
     "parallel_enumerate",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.baselines.fastdc import SearchMC
 from repro.core.adc_enum import DiscoveredADC
@@ -61,7 +62,7 @@ def _run_pipeline(
     epsilon: float,
     sample_fraction: float,
     seed: int | None,
-    evidence_method: str,
+    build_evidence: Callable[..., EvidenceSet],
     space_config: PredicateSpaceConfig | None,
     max_cover_size: int | None,
 ) -> BaselineResult:
@@ -77,9 +78,7 @@ def _run_pipeline(
 
     started = time.perf_counter()
     needs_participation = function.requires_participation
-    evidence = build_evidence_set(
-        plan.sample, space, include_participation=needs_participation, method=evidence_method
-    )
+    evidence = build_evidence(plan.sample, space, include_participation=needs_participation)
     timings.evidence = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -101,7 +100,7 @@ def afastdc_mine(
     """The AFASTDC pipeline: naive evidence construction + SearchMC."""
     return _run_pipeline(
         relation, function or F1(), epsilon, sample_fraction, seed,
-        "pairwise", space_config, max_cover_size,
+        build_evidence_set_pairwise, space_config, max_cover_size,
     )
 
 
@@ -117,5 +116,5 @@ def dcfinder_mine(
     """The DCFinder pipeline: fast evidence construction + SearchMC."""
     return _run_pipeline(
         relation, function or F1(), epsilon, sample_fraction, seed,
-        "tiled", space_config, max_cover_size,
+        build_evidence_set, space_config, max_cover_size,
     )

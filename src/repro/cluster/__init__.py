@@ -18,8 +18,8 @@ enumeration subtrees — across process and machine boundaries:
   workers return a tiny segment handle instead of pickling whole partials
   through the link.
 * :mod:`repro.cluster.contexts` / :mod:`repro.cluster.build` — the
-  evidence workload (``method="cluster"`` of
-  :func:`~repro.core.evidence_builder.build_evidence_set`).
+  evidence workload: tile folds over the workers, run by
+  ``build_evidence_set(..., cluster=...)`` and by cluster-backed stores.
 * :mod:`repro.cluster.enum` — distributed ADC enumeration
   (:func:`parallel_enumerate`), farming the root hit-loop subtrees of
   :class:`~repro.core.adc_enum.ADCEnum` out as work units.
@@ -30,13 +30,12 @@ enumeration subtrees — across process and machine boundaries:
 Invariant carried over from the engine: any transport, worker count,
 failure schedule, or merge-tree shape yields an
 :class:`~repro.core.evidence.EvidenceSet` bit-identical to the serial
-tiled build, and cluster-backed mining returns the exact DC list of
-``method="tiled"``.
+in-process build, and cluster-backed mining returns the exact DC list of
+a serial ``ADCMiner``.
 """
 
 from repro.cluster.build import (
     TASKS_PER_WORKER,
-    build_evidence_set_cluster,
     fold_tiles_cluster,
     merge_partials_tree,
 )
@@ -64,7 +63,6 @@ from repro.cluster.transport import (
 
 __all__ = [
     "TASKS_PER_WORKER",
-    "build_evidence_set_cluster",
     "fold_tiles_cluster",
     "merge_partials_tree",
     "TileFoldContext",

@@ -1,14 +1,16 @@
-"""Cluster-backed evidence construction (``method="cluster"``).
+"""Cluster-backed tile folds.
 
-The distributed twin of :func:`~repro.engine.parallel.build_evidence_set_parallel`:
+The distributed twin of :func:`~repro.engine.parallel.fold_tiles_pooled`:
 the same :class:`~repro.engine.kernel.TileKernel`, the same
 pair-count-balanced shard schedule, but fanned over a
 :class:`~repro.cluster.coordinator.ClusterCoordinator` instead of a process
 pool, and reduced with a balanced binary *merge tree* rather than a left
-fold.  Because :meth:`PartialEvidenceSet.merge` is associative/commutative
-and finalization orders evidences canonically, any transport, worker count,
+fold.  :class:`~repro.incremental.delta.DeltaEvidenceBuilder` uses it when
+given ``cluster=`` (so does ``build_evidence_set(..., cluster=...)``).
+Because :meth:`PartialEvidenceSet.merge` is associative/commutative and
+finalization orders evidences canonically, any transport, worker count,
 failure schedule, or merge-tree shape finalizes bit-identically to the
-serial tiled builder — the invariant the chaos tests and
+serial in-process fold — the invariant the chaos tests and
 ``benchmarks/bench_cluster.py`` enforce.
 """
 
@@ -18,19 +20,10 @@ from typing import TYPE_CHECKING
 
 from repro.cluster.contexts import TileFoldContext, shard_tasks
 from repro.cluster.local import resolve_coordinator
-from repro.core.evidence import EvidenceSet, n_words_for
 from repro.engine.kernel import TileKernel
-from repro.engine.parallel import parallel_tile_rows
 from repro.engine.partial import PartialEvidenceSet
-from repro.engine.scheduler import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    TileScheduler,
-    choose_tile_rows,
-)
 
 if TYPE_CHECKING:
-    from repro.core.predicate_space import PredicateSpace
-    from repro.data.relation import Relation
     from repro.engine.scheduler import Tile
 
 #: Shard tasks issued per worker; >1 smooths stragglers and re-balances
@@ -88,49 +81,3 @@ def fold_tiles_cluster(
     context = TileFoldContext(kernel, tiles)
     partials = coordinator.submit(context, tasks, weights)
     return merge_partials_tree(partials)
-
-
-def build_evidence_set_cluster(
-    relation: "Relation",
-    space: "PredicateSpace",
-    cluster: object,
-    include_participation: bool = True,
-    tile_rows: int | None = None,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> EvidenceSet:
-    """Build ``Evi(D)`` over a worker cluster (``method="cluster"``).
-
-    Parameters
-    ----------
-    relation:
-        The database ``D`` (or a sample of it).
-    space:
-        Predicate space produced by
-        :func:`repro.core.predicate_space.build_predicate_space`.
-    cluster:
-        A :class:`~repro.cluster.coordinator.ClusterCoordinator` with
-        registered workers, or a :class:`~repro.cluster.local.LocalCluster`.
-    include_participation:
-        Whether to also build the per-evidence tuple-participation
-        structure (needed by the f2/f3 approximation functions).
-    tile_rows:
-        Tile edge length; ``None`` (default) selects it adaptively from
-        the memory budget, word width and worker count, exactly as the
-        process-pool builder does.
-    memory_budget_bytes:
-        Transient-memory budget shared by the workers' concurrent kernels.
-    """
-    coordinator = resolve_coordinator(cluster)
-    n = relation.n_rows
-    if n < 2:
-        return EvidenceSet(space, [], [], n, [] if include_participation else None)
-    n_words = n_words_for(len(space))
-    n_workers = max(coordinator.n_alive, 1)
-    if tile_rows is None:
-        if n_workers > 1:
-            tile_rows = parallel_tile_rows(n, n_words, n_workers, memory_budget_bytes)
-        else:
-            tile_rows = choose_tile_rows(n, n_words, memory_budget_bytes)
-    scheduler = TileScheduler(n, tile_rows=tile_rows, n_words=n_words)
-    kernel = TileKernel.from_relation(relation, space, include_participation)
-    return fold_tiles_cluster(kernel, scheduler.tiles(), coordinator).finalize(space)

@@ -1,7 +1,7 @@
 """One-call local clusters: a coordinator plus n workers on this machine.
 
 :class:`LocalCluster` is the deployment helper behind
-``build_evidence_set(method="cluster", cluster=LocalCluster(4))`` and the
+``build_evidence_set(relation, space, cluster=LocalCluster(4))`` and the
 examples/benchmarks: it stands up a :class:`ClusterCoordinator` and spawns
 ``n_workers`` workers against it, either as
 

@@ -38,17 +38,14 @@ from repro.core.evidence import (
     words_to_mask,
 )
 from repro.core.evidence_builder import (
-    EVIDENCE_METHODS,
     build_evidence_set,
     build_evidence_set_dense,
     build_evidence_set_pairwise,
-    build_evidence_set_tiled,
 )
 from repro.engine import (
     PartialEvidenceSet,
     TileKernel,
     TileScheduler,
-    build_evidence_set_parallel,
     choose_tile_rows,
 )
 from repro.core.approximation import (
@@ -112,15 +109,12 @@ __all__ = [
     "mask_to_words",
     "masks_to_words",
     "words_to_mask",
-    "EVIDENCE_METHODS",
     "build_evidence_set",
     "build_evidence_set_dense",
     "build_evidence_set_pairwise",
-    "build_evidence_set_tiled",
     "PartialEvidenceSet",
     "TileKernel",
     "TileScheduler",
-    "build_evidence_set_parallel",
     "choose_tile_rows",
     "ApproximationFunction",
     "F1",

@@ -92,6 +92,27 @@ def lexsort_word_rows(words: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def violating(words: np.ndarray, hitting_words: "np.ndarray | Sequence[np.ndarray]") -> np.ndarray:
+    """Which evidence rows violate which DCs: ``bool[n_dcs, n_rows]``.
+
+    ``words`` is an ``(n_rows, n_words)`` uint64 evidence plane and
+    ``hitting_words`` holds one ``(n_words,)`` hitting-set word vector per
+    DC.  A pair violates a DC exactly when its evidence shares no predicate
+    with the DC's hitting set, so ``result[d, r]`` is True when row ``r``
+    has no bit in common with ``hitting_words[d]``.
+
+    This is the one place the rule is written down: every violation count
+    in the package is ``violating(words, hitting_words) @ weights``, with
+    evidence multiplicities (or any other per-row weights) as ``weights``.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    hitting = np.asarray(hitting_words, dtype=np.uint64).reshape(-1, words.shape[1])
+    result = np.empty((len(hitting), len(words)), dtype=bool)
+    for row, hitting_row in zip(result, hitting):
+        np.logical_not(np.bitwise_and(words, hitting_row).any(axis=1), out=row)
+    return result
+
+
 def unique_word_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a 2-D uint64 array with inverse indices and counts.
 
@@ -338,15 +359,6 @@ class EvidenceSet:
             )
         return words
 
-    def _unhit(self, hitting_mask: "int | np.ndarray") -> np.ndarray:
-        """Boolean vector of evidences with empty intersection with the mask.
-
-        ``hitting_mask`` is a Python-int bitmask or a packed ``(n_words,)``
-        uint64 vector; the word form skips the int→word conversion entirely.
-        """
-        hitting_words = self.hitting_words(hitting_mask)
-        return ~(self.words & hitting_words).any(axis=1)
-
     def uncovered_indices(self, hitting_mask: "int | np.ndarray") -> list[int]:
         """Indices of evidences with empty intersection with ``hitting_mask``.
 
@@ -354,14 +366,14 @@ class EvidenceSet:
         whose complement-predicate set is ``hitting_mask`` (given as a
         Python-int bitmask or a packed uint64 word vector).
         """
-        return np.flatnonzero(self._unhit(hitting_mask)).tolist()
+        return np.flatnonzero(violating(self.words, self.hitting_words(hitting_mask))).tolist()
 
     def uncovered_pair_count(self, hitting_mask: "int | np.ndarray") -> int:
         """Number of pairs whose evidence is not hit by ``hitting_mask``.
 
         Accepts the mask as a Python int or a packed uint64 word vector.
         """
-        return int(self.counts[self._unhit(hitting_mask)].sum())
+        return int((violating(self.words, self.hitting_words(hitting_mask)) @ self.counts)[0])
 
     def pair_count_of(self, evidence_indices: Iterable[int]) -> int:
         """Total number of pairs over a collection of evidence indices."""

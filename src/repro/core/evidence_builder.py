@@ -1,32 +1,32 @@
 """Evidence-set construction over packed 64-bit predicate words.
 
-Four builders are provided, all producing the packed
-``(n_evidences, n_words)`` uint64 representation natively (no Python-int
-round-trip anywhere):
+:func:`build_evidence_set` is the production builder.  It runs the
+incremental subsystem's :class:`~repro.incremental.delta.DeltaEvidenceBuilder`
+over the full pair matrix — the same tile-edge policy, scheduler, kernel
+and fold every appended batch of an
+:class:`~repro.incremental.store.EvidenceStore` goes through — and
+finalizes the result.  The picklable
+:class:`~repro.engine.kernel.TileKernel` folds the
+:class:`~repro.engine.scheduler.TileScheduler`'s row tiles serially
+in-process by default, over a process pool with ``n_workers > 1``, or over
+a worker cluster with ``cluster=``.  Peak memory is
+``O(n_words * tile_rows^2)``; the tile edge is chosen adaptively from a
+memory budget when not given
+(:func:`repro.engine.scheduler.choose_tile_rows`).
 
-* :func:`build_evidence_set_tiled` — the default builder.  It runs the
-  engine's picklable :class:`~repro.engine.kernel.TileKernel` serially over
-  the :class:`~repro.engine.scheduler.TileScheduler`'s row-tile schedule,
-  folding every tile's distinct evidences into a
-  :class:`~repro.engine.partial.PartialEvidenceSet`.  Peak memory is
-  ``O(n_words * tile_rows^2)`` instead of the dense builder's
-  ``O(n_words * n^2)``; the tile edge is chosen adaptively from a memory
-  budget when not given (:func:`repro.engine.scheduler.choose_tile_rows`).
-* :func:`repro.engine.parallel.build_evidence_set_parallel`
-  (``method="parallel"``) — the same kernel and schedule fanned out over a
-  process pool; bit-identical to the tiled builder by construction.
+Two plain functions remain beside it:
+
 * :func:`build_evidence_set_dense` — the original dense builder
-  materialising full ``n x n`` category matrices and word planes.  Retained
-  behind a flag as a correctness oracle and for benchmarking.
+  materialising full ``n x n`` word planes, kept as the test oracle of the
+  tile engine;
 * :func:`build_evidence_set_pairwise` — the naive row-by-row builder of
-  FASTDC/AFASTDC [11], kept both as a correctness oracle for tests and as
-  the evidence-construction baseline timed in Figures 7 and 8.
+  FASTDC/AFASTDC [11], the evidence-construction baseline timed in
+  Figures 7 and 8 (and a second, trivially correct, oracle).
 
 All builders emit evidences in the canonical lexicographic word order of
 :func:`repro.core.evidence.lexsort_word_rows`, so their outputs are
 bit-identical (words, multiplicities, participation), not merely equal as
-multisets.  :func:`build_evidence_set` dispatches between them by
-``method`` and is what the pipeline entry points call.
+multisets.
 """
 
 from __future__ import annotations
@@ -42,26 +42,21 @@ from repro.core.evidence import (
 from repro.core.predicate_space import PredicateSpace
 from repro.data.relation import Relation
 from repro.engine.kernel import prepare_groups
-from repro.engine.parallel import build_evidence_set_parallel
 from repro.engine.partial import split_participation
 from repro.engine.scheduler import DEFAULT_MEMORY_BUDGET_BYTES
-
-#: All evidence construction methods accepted by :func:`build_evidence_set`
-#: (``"vectorized"`` is a legacy alias of ``"tiled"``).
-EVIDENCE_METHODS = ("tiled", "vectorized", "parallel", "cluster", "dense", "pairwise")
 
 
 def build_evidence_set(
     relation: Relation,
     space: PredicateSpace,
     include_participation: bool = True,
-    method: str = "tiled",
+    *,
     tile_rows: int | None = None,
-    n_workers: int | None = None,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
+    n_workers: int = 1,
     cluster: object | None = None,
+    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
 ) -> EvidenceSet:
-    """Build ``Evi(D)``, dispatching to the requested builder.
+    """Build ``Evi(D)`` with the tile engine.
 
     Parameters
     ----------
@@ -72,102 +67,37 @@ def build_evidence_set(
         :func:`repro.core.predicate_space.build_predicate_space`.
     include_participation:
         Whether to also build the per-evidence tuple-participation structure
-        (needed by the f2/f3 approximation functions; costs one extra pass).
-    method:
-        ``"tiled"`` (default), ``"parallel"`` (process-pool tile engine),
-        ``"cluster"`` (the distributed fabric of :mod:`repro.cluster`;
-        requires ``cluster=``), ``"dense"`` (the full-plane oracle) or
-        ``"pairwise"`` (the naive AFASTDC-style oracle).  ``"vectorized"``
-        is accepted as a legacy alias of ``"tiled"``.
+        (needed by the f2/f3 approximation functions).
     tile_rows:
-        Tile edge length of the tiled/parallel/cluster builders; ``None``
-        (default) selects it adaptively from the memory budget.
+        Tile edge length; ``None`` (default) selects it adaptively from the
+        memory budget, the word width and the number of concurrent kernels.
     n_workers:
-        Worker processes of the parallel builder (``None`` uses all CPUs);
-        ignored by the other methods.
-    memory_budget_bytes:
-        Transient-memory budget driving the adaptive tile size.
+        Process-pool width; ``1`` (default) folds serially in-process.
+        Ignored when ``cluster`` is given.
     cluster:
         A :class:`~repro.cluster.coordinator.ClusterCoordinator` or
-        :class:`~repro.cluster.local.LocalCluster` carrying the workers of
-        the ``"cluster"`` method; ignored by the other methods.
+        :class:`~repro.cluster.local.LocalCluster` whose workers fold the
+        tiles instead of a process pool.
+    memory_budget_bytes:
+        Transient-memory budget shared by the concurrent kernels.
+
+    Every choice of ``n_workers`` and ``cluster`` yields a bit-identical
+    result: the partial merge is associative and commutative, and
+    finalization orders evidences canonically.
     """
-    if method in ("tiled", "vectorized"):
-        return build_evidence_set_tiled(
-            relation,
-            space,
-            include_participation=include_participation,
-            tile_rows=tile_rows,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-    if method == "parallel":
-        return build_evidence_set_parallel(
-            relation,
-            space,
-            include_participation=include_participation,
-            tile_rows=tile_rows,
-            n_workers=n_workers,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-    if method == "cluster":
-        if cluster is None:
-            raise ValueError(
-                "method='cluster' needs a cluster= coordinator "
-                "(e.g. repro.cluster.LocalCluster)"
-            )
-        # Imported lazily: repro.cluster pulls in the whole fabric (and, via
-        # the enumeration context, this very module), which non-cluster
-        # builds should neither pay for nor cycle through.
-        from repro.cluster.build import build_evidence_set_cluster
+    # Imported here: repro.incremental's package init loads the store, which
+    # imports the miner, which imports this module.
+    from repro.incremental.delta import DeltaEvidenceBuilder
 
-        return build_evidence_set_cluster(
-            relation,
-            space,
-            cluster,
-            include_participation=include_participation,
-            tile_rows=tile_rows,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-    if method == "dense":
-        return build_evidence_set_dense(
-            relation, space, include_participation=include_participation
-        )
-    if method == "pairwise":
-        return build_evidence_set_pairwise(
-            relation, space, include_participation=include_participation
-        )
-    raise ValueError(
-        f"unknown evidence construction method {method!r}; "
-        f"valid methods are {', '.join(EVIDENCE_METHODS)}"
-    )
-
-
-def build_evidence_set_tiled(
-    relation: Relation,
-    space: PredicateSpace,
-    include_participation: bool = True,
-    tile_rows: int | None = None,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> EvidenceSet:
-    """Build ``Evi(D)`` by streaming over row-tile pairs (the default).
-
-    The ordered-pair matrix is processed in ``tile_rows x tile_rows``
-    blocks (:class:`~repro.engine.scheduler.TileScheduler`); every block is
-    evaluated by the engine's :class:`~repro.engine.kernel.TileKernel` with
-    the same broadcasting as the dense builder restricted to the block's
-    rows/columns, then folded into a running
-    :class:`~repro.engine.partial.PartialEvidenceSet`, so no ``n x n``
-    array is ever allocated.  When ``tile_rows`` is ``None`` the edge is
-    chosen adaptively so one kernel fits ``memory_budget_bytes``.
-    """
-    return build_evidence_set_parallel(
-        relation,
+    builder = DeltaEvidenceBuilder(
         space,
         include_participation=include_participation,
         tile_rows=tile_rows,
-        n_workers=1,
+        n_workers=n_workers,
+        cluster=cluster,
         memory_budget_bytes=memory_budget_bytes,
     )
+    return builder.full_partial(relation).finalize(space)
 
 
 def build_evidence_set_dense(
@@ -178,9 +108,9 @@ def build_evidence_set_dense(
     """Build ``Evi(D)`` with full ``n x n`` word planes (the dense oracle).
 
     This is the original DCFinder-style strategy materialising one dense
-    plane per 64-bit word.  It is kept behind the ``method="dense"`` flag as
-    a correctness oracle for the tiled builder and for memory benchmarking;
-    the tiled builder computes exactly the same planes tile by tile.
+    plane per 64-bit word.  It is kept as a correctness oracle for
+    :func:`build_evidence_set` and for memory benchmarking; the tile engine
+    computes exactly the same planes tile by tile.
     """
     n = relation.n_rows
     if n < 2:
@@ -214,8 +144,8 @@ def build_evidence_set_pairwise(
     """Build ``Evi(D)`` by evaluating every predicate on every ordered pair.
 
     This is the quadratic, per-pair strategy of AFASTDC [11]; it is orders of
-    magnitude slower than the tiled builder but trivially correct, so it
-    doubles as the reference implementation in the test suite.
+    magnitude slower than :func:`build_evidence_set` but trivially correct,
+    so it doubles as the reference implementation in the test suite.
     """
     n = relation.n_rows
     rows = [relation.row(i) for i in range(n)]

@@ -27,6 +27,7 @@ the choice rule.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from typing import Iterator, Sequence
@@ -38,6 +39,21 @@ from repro.core.approximation import ApproximationFunction, F1
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import EvidenceSet
 from repro.core.hitting_set import MMCSStatistics
+
+
+@contextlib.contextmanager
+def _recursion_limit(at_least: int) -> Iterator[None]:
+    """Raise the interpreter's recursion limit for one search, then restore it.
+
+    Used around the recursive generators below, so the limit comes back
+    when the generator is exhausted *or* closed early.
+    """
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(previous, at_least))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(previous)
 from repro.core.predicate_space import iter_bits
 
 _WORD_BITS = 64
@@ -89,8 +105,6 @@ class LegacyADCEnum:
 
     def iter_adcs(self) -> Iterator[DiscoveredADC]:
         self.statistics = EnumerationStatistics()
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
-
         space = self.evidence.space
         uncov = np.arange(self._n_evidences, dtype=np.int64)
         can_hit = np.ones(self._n_evidences, dtype=bool)
@@ -99,16 +113,17 @@ class LegacyADCEnum:
         crit: dict[int, set[int]] = {}
         seen_outputs: set[int] = set()
 
-        yield from self._search(
-            s_mask=0,
-            s_elements=[],
-            crit=crit,
-            uncov=uncov,
-            uncovered_pairs=uncovered_pairs,
-            cand=cand,
-            can_hit=can_hit,
-            seen_outputs=seen_outputs,
-        )
+        with _recursion_limit(50_000):
+            yield from self._search(
+                s_mask=0,
+                s_elements=[],
+                crit=crit,
+                uncov=uncov,
+                uncovered_pairs=uncovered_pairs,
+                cand=cand,
+                can_hit=can_hit,
+                seen_outputs=seen_outputs,
+            )
 
     def _violation_score(self, uncov_indices: Sequence[int], uncovered_pairs: int) -> float:
         total = self.evidence.total_pairs
@@ -301,11 +316,11 @@ class LegacyMMCS:
         self.statistics = MMCSStatistics()
         if any(subset == 0 for subset in self.subsets):
             return
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
         uncov = set(range(len(self.subsets)))
         cand = (1 << self.n_elements) - 1
         crit: dict[int, set[int]] = {}
-        yield from self._search(0, crit, uncov, cand)
+        with _recursion_limit(10_000):
+            yield from self._search(0, crit, uncov, cand)
 
     def _search(
         self,

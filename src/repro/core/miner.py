@@ -20,7 +20,7 @@ from repro.core.adc_enum import ADCEnum, DiscoveredADC, EnumerationStatistics, S
 from repro.core.approximation import ApproximationFunction, F1, get_approximation_function
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import EvidenceSet
-from repro.core.evidence_builder import EVIDENCE_METHODS, build_evidence_set
+from repro.core.evidence_builder import build_evidence_set
 from repro.core.predicate_space import PredicateSpace, PredicateSpaceConfig, build_predicate_space
 from repro.core.sampling import SamplePlan, adjusted_function, draw_sample
 from repro.data.relation import Relation
@@ -139,26 +139,20 @@ class ADCMiner:
         Predicate space generation knobs.
     selection:
         Evidence selection strategy of the enumerator (Figure 10 ablation).
-    evidence_method:
-        ``"tiled"`` (blocked word-plane builder, default), ``"parallel"``
-        (the process-pool tile engine of :mod:`repro.engine`, bit-identical
-        to ``"tiled"``), ``"cluster"`` (the distributed fabric of
-        :mod:`repro.cluster`, also bit-identical; requires ``cluster=``),
-        ``"dense"`` (full-plane oracle), or ``"pairwise"`` (AFASTDC-style
-        reference builder).  ``"vectorized"`` is a legacy alias of
-        ``"tiled"``.
     tile_rows:
-        Tile edge length of the tiled/parallel evidence builders; ``None``
-        (default) picks it adaptively from a memory budget.
+        Tile edge length of the evidence builder; ``None`` (default) picks
+        it adaptively from a memory budget.
     n_workers:
-        Worker processes of the ``"parallel"`` evidence builder (``None``
-        uses all CPUs); ignored by the other methods.  Validated eagerly:
-        a non-positive count raises here, not at mine time.
+        Process-pool width of the evidence builder; ``1`` (default) folds
+        the tiles serially in-process.  Validated eagerly: a non-positive
+        count raises here, not at mine time.
     cluster:
         A :class:`~repro.cluster.coordinator.ClusterCoordinator` or
         :class:`~repro.cluster.local.LocalCluster`.  When given, evidence
-        tiles are built over the cluster (``evidence_method`` switches to
-        ``"cluster"`` unless explicitly set to an oracle method).
+        tiles are folded over the cluster's workers (``n_workers`` is then
+        ignored).  Every choice of ``n_workers``/``cluster`` builds a
+        bit-identical evidence set (see
+        :func:`~repro.core.evidence_builder.build_evidence_set`).
     cluster_enumeration:
         Also farm the enumeration's root subtrees over the cluster
         (:func:`repro.cluster.enum.parallel_enumerate`; returns the exact
@@ -178,9 +172,8 @@ class ADCMiner:
         alpha: float = 0.05,
         space_config: PredicateSpaceConfig | None = None,
         selection: SelectionStrategy = "max",
-        evidence_method: str = "tiled",
         tile_rows: int | None = None,
-        n_workers: int | None = None,
+        n_workers: int = 1,
         cluster: object | None = None,
         cluster_enumeration: bool = False,
         max_dc_size: int | None = None,
@@ -188,18 +181,9 @@ class ADCMiner:
     ) -> None:
         if isinstance(function, str):
             function = get_approximation_function(function)
-        if cluster is not None and evidence_method in ("tiled", "vectorized"):
-            evidence_method = "cluster"
-        if evidence_method not in EVIDENCE_METHODS:
-            raise ValueError(
-                f"unknown evidence method {evidence_method!r}; "
-                f"valid methods are {', '.join(EVIDENCE_METHODS)}"
-            )
-        if evidence_method == "cluster" and cluster is None:
-            raise ValueError("evidence_method='cluster' needs a cluster= coordinator")
         if cluster_enumeration and cluster is None:
             raise ValueError("cluster_enumeration=True needs a cluster= coordinator")
-        if n_workers is not None and n_workers < 1:
+        if n_workers < 1:
             raise ValueError("n_workers must be positive")
         self.function = function
         self.epsilon = float(epsilon)
@@ -208,9 +192,8 @@ class ADCMiner:
         self.alpha = float(alpha)
         self.space_config = space_config or PredicateSpaceConfig()
         self.selection: SelectionStrategy = selection
-        self.evidence_method = evidence_method
         self.tile_rows = int(tile_rows) if tile_rows is not None else None
-        self.n_workers = int(n_workers) if n_workers is not None else None
+        self.n_workers = int(n_workers)
         self.cluster = cluster
         self.cluster_enumeration = bool(cluster_enumeration)
         self.max_dc_size = max_dc_size
@@ -234,7 +217,6 @@ class ADCMiner:
             plan.sample,
             space,
             include_participation=needs_participation,
-            method=self.evidence_method,
             tile_rows=self.tile_rows,
             n_workers=self.n_workers,
             cluster=self.cluster,

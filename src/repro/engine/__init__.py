@@ -16,12 +16,14 @@ shardable tile work units:
   accumulator of per-tile results whose :meth:`~PartialEvidenceSet.merge`
   is associative and commutative, so partials can be combined in any order
   (process pool now, cross-machine shards later).
-* :mod:`repro.engine.parallel` — :func:`build_evidence_set_parallel`, the
-  :class:`concurrent.futures.ProcessPoolExecutor` driver exposed as
-  ``method="parallel"`` of :func:`repro.core.evidence_builder.build_evidence_set`.
+* :mod:`repro.engine.parallel` — :func:`fold_tiles_pooled`, the tile fold
+  run serially in-process or over a
+  :class:`concurrent.futures.ProcessPoolExecutor`.
 
-The serial tiled builder runs the exact same kernel over the exact same
-schedule, so ``parallel`` and ``tiled`` results are bit-identical.
+:class:`~repro.incremental.delta.DeltaEvidenceBuilder` drives these pieces
+for every full build (:func:`repro.core.evidence_builder.build_evidence_set`)
+and every appended batch; serial, pooled and cluster folds of the same
+schedule are bit-identical.
 """
 
 from repro.engine.scheduler import (
@@ -38,11 +40,7 @@ from repro.engine.partial import (
     participation_from_key_chunks,
     split_participation,
 )
-from repro.engine.parallel import (
-    build_evidence_set_parallel,
-    fold_tiles,
-    fold_tiles_pooled,
-)
+from repro.engine.parallel import fold_tiles, fold_tiles_pooled
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_BYTES",
@@ -57,7 +55,6 @@ __all__ = [
     "PartialEvidenceSet",
     "participation_from_key_chunks",
     "split_participation",
-    "build_evidence_set_parallel",
     "fold_tiles",
     "fold_tiles_pooled",
 ]

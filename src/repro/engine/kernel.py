@@ -1,7 +1,7 @@
 """The picklable per-tile evidence kernel.
 
-:class:`TileKernel` is the compute core of both the serial tiled builder
-and the process-pool engine: given one :class:`~repro.engine.scheduler.Tile`
+:class:`TileKernel` is the compute core of every evidence fold — serial,
+process pool or cluster: given one :class:`~repro.engine.scheduler.Tile`
 it produces that block's deduplicated evidence words, multiplicities and
 tuple-participation histogram (a :class:`TilePartial`).
 

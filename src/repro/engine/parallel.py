@@ -1,44 +1,35 @@
-"""Process-pool evidence construction.
+"""Serial and process-pool tile folds.
 
-:func:`build_evidence_set_parallel` fans the tile schedule out over a
+:func:`fold_tiles_pooled` folds a tile schedule into one
+:class:`~repro.engine.partial.PartialEvidenceSet`, in-process or over a
 :class:`concurrent.futures.ProcessPoolExecutor`: the picklable
 :class:`~repro.engine.kernel.TileKernel` and tile list are shipped once per
 worker through the pool initializer, tasks are plain ``(start, stop)``
-shard ranges, and every worker returns one
-:class:`~repro.engine.partial.PartialEvidenceSet` that the parent merges
-and finalizes.  Because the merge is associative/commutative and
-finalization orders evidences canonically, the result is bit-identical to
-the serial tiled builder's.
+shard ranges, and every worker returns one partial that the parent merges.
+Because the merge is associative/commutative and finalization orders
+evidences canonically, pooled and serial folds finalize bit-identically.
 
-Exposed as ``method="parallel"`` of
-:func:`repro.core.evidence_builder.build_evidence_set` and via the
-``n_workers`` knob of :class:`repro.core.miner.ADCMiner`.
+:class:`~repro.incremental.delta.DeltaEvidenceBuilder` drives it for full
+builds (the ``n_workers`` knob of
+:func:`repro.core.evidence_builder.build_evidence_set` and
+:class:`repro.core.miner.ADCMiner`) and for every appended batch.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
-from repro.core.evidence import EvidenceSet, n_words_for
 from repro.engine.kernel import TileKernel
 from repro.engine.partial import PartialEvidenceSet
-from repro.engine.scheduler import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    TileScheduler,
-    choose_tile_rows,
-    shard_tiles,
-)
+from repro.engine.scheduler import choose_tile_rows, shard_tiles
 from repro.obs import metrics as obs_metrics
 
 if TYPE_CHECKING:
-    from repro.core.predicate_space import PredicateSpace
-    from repro.data.relation import Relation
     from repro.engine.scheduler import Tile
 
 #: Shards handed to the pool per worker; >1 smooths load imbalance from
@@ -99,9 +90,9 @@ def fold_tiles_pooled(
     falls through to the in-process serial fold — so single-worker callers
     such as ``ADCMiner(n_workers=1)`` never pay executor overhead.
 
-    Both the full-grid builder and the incremental delta builder drive this
-    entry point, so their serial and pooled results are bit-identical by the
-    same merge-algebra argument.
+    :class:`~repro.incremental.delta.DeltaEvidenceBuilder` drives this entry
+    point for full builds and deltas alike, so their serial and pooled
+    results are bit-identical by the same merge-algebra argument.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be positive")
@@ -156,54 +147,3 @@ def parallel_tile_rows(
     grid = math.ceil(math.sqrt(min_tiles))
     target_edge = math.ceil(n_rows / grid)
     return max(1, min(tile_rows, target_edge))
-
-
-def build_evidence_set_parallel(
-    relation: "Relation",
-    space: "PredicateSpace",
-    include_participation: bool = True,
-    tile_rows: int | None = None,
-    n_workers: int | None = None,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> EvidenceSet:
-    """Build ``Evi(D)`` with a process pool over tile shards.
-
-    Parameters
-    ----------
-    relation:
-        The database ``D`` (or a sample of it).
-    space:
-        Predicate space produced by
-        :func:`repro.core.predicate_space.build_predicate_space`.
-    include_participation:
-        Whether to also build the per-evidence tuple-participation
-        structure (needed by the f2/f3 approximation functions).
-    tile_rows:
-        Tile edge length; ``None`` (default) selects it adaptively from
-        the memory budget, the word width and the worker count.
-    n_workers:
-        Worker processes; ``None`` uses ``os.cpu_count()``.  ``1`` runs
-        the schedule in-process without a pool (no fork/pickle overhead);
-        the same fall-through applies whenever the schedule balances into
-        fewer shards than workers (see :func:`fold_tiles_pooled`).
-    memory_budget_bytes:
-        Total transient-memory budget shared by the concurrent kernels
-        (only consulted when ``tile_rows`` is ``None``).
-    """
-    if n_workers is None:
-        n_workers = os.cpu_count() or 1
-    if n_workers < 1:
-        raise ValueError("n_workers must be positive")
-    n = relation.n_rows
-    if n < 2:
-        return EvidenceSet(space, [], [], n, [] if include_participation else None)
-    n_words = n_words_for(len(space))
-    if tile_rows is None:
-        if n_workers > 1:
-            tile_rows = parallel_tile_rows(n, n_words, n_workers, memory_budget_bytes)
-        else:
-            tile_rows = choose_tile_rows(n, n_words, memory_budget_bytes)
-
-    scheduler = TileScheduler(n, tile_rows=tile_rows, n_words=n_words)
-    kernel = TileKernel.from_relation(relation, space, include_participation)
-    return fold_tiles_pooled(kernel, scheduler.tiles(), n_workers).finalize(space)

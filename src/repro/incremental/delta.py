@@ -13,16 +13,19 @@ contribution of those blocks — ``O(n·m + m²)`` pairs instead of the full
 :class:`DeltaEvidenceBuilder` schedules the three blocks as ordinary
 :class:`~repro.engine.scheduler.Tile` work units (the rectangular-range
 support of :class:`~repro.engine.scheduler.TileScheduler`), runs them
-through the same picklable :class:`~repro.engine.kernel.TileKernel` as the
-batch builders — serially or over the process pool
-(:func:`~repro.engine.parallel.fold_tiles_pooled`) — and returns a
-:class:`~repro.engine.partial.PartialEvidenceSet` ready to
+through the picklable :class:`~repro.engine.kernel.TileKernel` — serially,
+over the process pool (:func:`~repro.engine.parallel.fold_tiles_pooled`)
+or over a cluster (:func:`~repro.cluster.build.fold_tiles_cluster`) — and
+returns a :class:`~repro.engine.partial.PartialEvidenceSet` ready to
 :meth:`~repro.engine.partial.PartialEvidenceSet.merge` into the stored one.
 
+The builder is the package's only tile engine: its
+:meth:`~DeltaEvidenceBuilder.full_partial` over the whole pair matrix is
+what :func:`repro.core.evidence_builder.build_evidence_set` finalizes.
 Because the delta tiles partition exactly the pairs a full rebuild would
 add, and :meth:`~repro.engine.partial.PartialEvidenceSet.finalize` is
 invariant to how pairs were grouped into tiles and partials, merging the
-delta into the stored partial finalizes **bit-identically** to a full tiled
+delta into the stored partial finalizes **bit-identically** to a full
 rebuild on the concatenated relation (property-tested over random append
 schedules in ``tests/test_incremental.py``).
 """
@@ -143,10 +146,10 @@ class DeltaEvidenceBuilder:
     def tile_edge(self, n_rows: int) -> int:
         """Tile edge for a build over ``n_rows`` rows (fixed or adaptive).
 
-        With a pool, the memory budget is split across the concurrent
-        kernels the same way the batch parallel builder splits it
-        (:func:`~repro.engine.parallel.parallel_tile_rows`), so ``n_workers``
-        kernels together stay within ``memory_budget_bytes``.
+        With a pool or cluster, the memory budget is split across the
+        concurrent kernels
+        (:func:`~repro.engine.parallel.parallel_tile_rows`), so they
+        together stay within ``memory_budget_bytes``.
         """
         if self.tile_rows is not None:
             return self.tile_rows
@@ -185,7 +188,7 @@ class DeltaEvidenceBuilder:
         return TileKernel.from_relation(relation, self.space, include_participation)
 
     def full_partial(self, relation: "Relation") -> "PartialEvidenceSet":
-        """Evidence partial of the full pair matrix (the store's seed)."""
+        """Evidence partial of the full pair matrix (a store's seed, or a build)."""
         scheduler = TileScheduler(relation.n_rows, tile_rows=self.tile_edge(relation.n_rows))
         return self._fold(self.kernel(relation), scheduler.tiles())
 

@@ -13,7 +13,10 @@ denial constraints it answers, against the store's *current* state,
   memory, streamed in schedule order);
 * ``check_batch(rows)`` — admission control for incoming tuples: which rows
   of a batch would push some DC's violation rate past ``epsilon``, each row
-  judged independently against the store via the delta cross blocks;
+  judged independently against the store via the delta cross blocks (the
+  simplified checking of Martinenghi, see PAPERS.md: only the pairs an
+  update would add are evaluated, on top of the service's push-maintained
+  :attr:`~ViolationService.counters`);
 * ``tuple_scores(dc)`` / ``repair_ranking(dc)`` — the per-tuple violation
   vector ``v(t)`` of the paper's Figure 2 from the stored participation
   histograms, wired into :mod:`repro.core.repair`'s ranking and
@@ -28,13 +31,13 @@ arrive and counts drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.adc_enum import DiscoveredADC
 from repro.core.dc import DenialConstraint
-from repro.core.evidence import mask_to_words, n_words_for
+from repro.core.evidence import mask_to_words, n_words_for, violating
 from repro.core.repair import ConflictGraph, rank_tuples_by_violations
 from repro.incremental.delta import delta_tiles
 
@@ -96,14 +99,15 @@ class ViolationService:
     epsilon:
         Violation-rate threshold used by :meth:`check_batch` and
         :meth:`exceeded`.
-    base_counts_provider:
-        Optional callable returning the per-DC violating-pair counts of the
-        store's *current* state (one entry per served constraint, in
-        constraint order).  When set, :meth:`check_batch` reads its base
-        counts from it instead of finalizing the store's evidence — this is
-        how the serving layer substitutes its push-maintained counters
-        (:class:`repro.serve.counters.ViolationCounters`) for the
-        finalize-on-read path.
+
+    The service follows the store through push-maintained
+    :class:`~repro.serve.counters.ViolationCounters` (:attr:`counters`),
+    seeded from the stored partial and updated by every committed append;
+    they are the base counts of :meth:`check_batch`, so admission never
+    finalizes evidence.  :meth:`violations` keeps answering off a fresh
+    finalize — the oracle the counters are tested against.  Call
+    :meth:`detach` when the service is superseded, or the store keeps
+    updating its counters.
     """
 
     def __init__(
@@ -111,16 +115,15 @@ class ViolationService:
         store: "EvidenceStore",
         constraints: Sequence[DenialConstraint | DiscoveredADC],
         epsilon: float = 0.01,
-        base_counts_provider: "Callable[[], Sequence[int]] | None" = None,
     ) -> None:
+        # Imported here: repro.serve's package init loads the server, which
+        # imports this module.
+        from repro.serve.counters import ViolationCounters
+
         self._store = store
         self.epsilon = float(epsilon)
-        self.base_counts_provider = base_counts_provider
         self.constraints: list[DenialConstraint] = []
         self._hitting_words: list[np.ndarray] = []
-        # Per-DC base violation counts, keyed on the store generation that
-        # produced them (appends bump the generation, invalidating this).
-        self._base_counts_cache: tuple[int, np.ndarray] | None = None
         n_words = n_words_for(len(store.space))
         for entry in constraints:
             if isinstance(entry, DiscoveredADC):
@@ -131,6 +134,7 @@ class ViolationService:
                 mask = store.space.complement_mask(store.space.mask_of(entry.predicates))
             self.constraints.append(constraint)
             self._hitting_words.append(mask_to_words(mask, n_words))
+        self.counters = ViolationCounters(self._hitting_words, store)
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -144,6 +148,10 @@ class ViolationService:
         push-based counters so both count against identical bit patterns.
         """
         return list(self._hitting_words)
+
+    def detach(self) -> None:
+        """Stop the store from updating :attr:`counters` (service superseded)."""
+        self.counters.detach()
 
     # ------------------------------------------------------------------
     # Constraint resolution
@@ -202,10 +210,8 @@ class ViolationService:
         kernel = self._store.replay_kernel()
         for tile in self._store.replay_scheduler():
             words, left_ids, right_ids = kernel.tile_words(tile)
-            if not len(words):
-                continue
-            violating = ~np.bitwise_and(words, hitting).any(axis=1)
-            for left, right in zip(left_ids[violating], right_ids[violating]):
+            hit = violating(words, [hitting])[0]
+            for left, right in zip(left_ids[hit], right_ids[hit]):
                 yield int(left), int(right)
 
     def conflict_graph(self, dc: DenialConstraint | DiscoveredADC | int) -> ConflictGraph:
@@ -240,36 +246,6 @@ class ViolationService:
     # ------------------------------------------------------------------
     # Batch admission
     # ------------------------------------------------------------------
-    def _base_violation_counts(self) -> np.ndarray:
-        """Per-DC violating-pair counts of the store, cached per generation.
-
-        The counts only change when the store absorbs an append, so an
-        admission loop calling :meth:`check_batch` row by row pays the
-        full-evidence uncovered scan once per store generation, not once
-        per call.  With a ``base_counts_provider`` installed the scan is
-        skipped entirely — the provider's push-maintained counts are
-        authoritative and already current.
-        """
-        if self.base_counts_provider is not None:
-            counts = np.asarray(self.base_counts_provider(), dtype=np.int64)
-            if len(counts) != len(self.constraints):
-                raise ValueError(
-                    f"base_counts_provider returned {len(counts)} counts "
-                    f"for {len(self.constraints)} served constraints"
-                )
-            return counts
-        generation = self._store.generation
-        if self._base_counts_cache is None or self._base_counts_cache[0] != generation:
-            counts = np.array(
-                [
-                    self.violations(index).count
-                    for index in range(len(self.constraints))
-                ],
-                dtype=np.int64,
-            )
-            self._base_counts_cache = (generation, counts)
-        return self._base_counts_cache[1]
-
     def check_batch(
         self, rows: "Relation | Iterable[Mapping[str, object]]"
     ) -> list[RowAdmission]:
@@ -291,34 +267,30 @@ class ViolationService:
         n_new = probe.n_rows - n_before
         if n_new == 0:
             return []
-        n_constraints = len(self.constraints)
-        delta_counts = np.zeros((n_constraints, n_new), dtype=np.int64)
+        base_counts = self.counters.counts()
+        delta_counts = np.zeros((len(self.constraints), n_new), dtype=np.int64)
 
         kernel = self._store.builder.kernel(probe, include_participation=False)
         edge = self._store.builder.tile_edge(probe.n_rows)
         # Cross rectangles only (no new-vs-new square): each row is judged
         # independently of its batch-mates.
         for tile in delta_tiles(n_before, probe.n_rows, edge, include_new_vs_new=False):
-            words, left_ids, right_ids = kernel.tile_words(tile)
-            if not len(words):
-                continue
-            # Exactly one endpoint of every cross pair is a new row.
-            new_ids = np.where(left_ids >= n_before, left_ids, right_ids) - n_before
-            for index, hitting in enumerate(self._hitting_words):
-                violating = ~np.bitwise_and(words, hitting).any(axis=1)
-                np.add.at(delta_counts[index], new_ids[violating], 1)
-
-        base_counts = self._base_violation_counts()
-        hypothetical_pairs = (n_before + 1) * n_before
-        admissions: list[RowAdmission] = []
-        for row in range(n_new):
-            if hypothetical_pairs:
-                rates = tuple(
-                    float(base_counts[index] + delta_counts[index, row])
-                    / hypothetical_pairs
-                    for index in range(n_constraints)
-                )
+            words, _, _ = kernel.tile_words(tile)
+            # A cross tile holds every pair of its rectangle in row-major
+            # order (no diagonal), with the new rows along one axis.  Summing
+            # over the other axis is the product with the one-hot weights of
+            # the new-row ids, without building the pairs x rows matrix.
+            grid = violating(words, self._hitting_words).reshape(
+                -1, tile.i1 - tile.i0, tile.j1 - tile.j0
+            )
+            if tile.i0 >= n_before:
+                delta_counts[:, tile.i0 - n_before:tile.i1 - n_before] += grid.sum(axis=2)
             else:
-                rates = tuple(0.0 for _ in range(n_constraints))
-            admissions.append(RowAdmission(row, rates, self.epsilon))
-        return admissions
+                delta_counts[:, tile.j0 - n_before:tile.j1 - n_before] += grid.sum(axis=1)
+
+        hypothetical_pairs = (n_before + 1) * n_before
+        rates = (base_counts[:, None] + delta_counts) / max(hypothetical_pairs, 1)
+        return [
+            RowAdmission(row, tuple(float(rate) for rate in rates[:, row]), self.epsilon)
+            for row in range(n_new)
+        ]

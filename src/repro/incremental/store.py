@@ -12,7 +12,7 @@ finalized word planes straight into
 
 **Invariant** (property-tested over random append schedules): after any
 sequence of appends, ``evidence()`` is bit-identical — words, canonical
-order, multiplicities, tuple participation — to a full tiled rebuild on the
+order, multiplicities, tuple participation — to a full rebuild on the
 concatenated relation with the store's predicate space.  The predicate
 space is therefore fixed at construction: re-deriving it from grown data
 would change the bit layout under the stored words.

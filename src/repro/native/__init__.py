@@ -8,8 +8,8 @@ reference (:mod:`repro.native.numpy_backend`) defines the semantics; a
 compiled backend is only used after reproducing it bit for bit on a probe.
 
 Backend selection is controlled by ``REPRO_NATIVE``: ``0`` forces numpy,
-``1`` requires a compiled backend, ``cext``/``numba`` pick one explicitly,
-unset auto-detects (C extension, then numba, then numpy).
+``1``/``cext`` require the C extension, unset auto-detects (C extension,
+else numpy).
 """
 
 from repro.native.dispatch import (

@@ -6,14 +6,10 @@ Resolution happens once, lazily, at first use, honouring ``REPRO_NATIVE``:
 ``REPRO_NATIVE``      behaviour
 ====================  =====================================================
 unset (auto)          C extension if it compiles *and* passes the probe,
-                      else numba if importable, else pure numpy — never
-                      raises.
+                      else pure numpy — never raises.
 ``0`` / ``numpy``     pure numpy, unconditionally.
-``1``                 require *some* compiled backend (C extension or
-                      numba); :class:`RuntimeError` if neither works.
-``cext``              require the C extension specifically.
-``numba``             require numba specifically (clean error when the
-                      package is not installed).
+``1`` / ``cext``      require the C extension; :class:`RuntimeError` if it
+                      does not build or fails the probe.
 ====================  =====================================================
 
 A compiled backend is only trusted after a **probe**: every flat kernel and
@@ -221,17 +217,8 @@ def _build_cext_backend() -> Backend:
     )
 
 
-def _build_numba_backend() -> Backend:
-    from repro.native import numba_backend
-
-    kernels = numba_backend.NumbaKernels()
-    _probe_flat_kernels(kernels)
-    return Backend(name=numba_backend.NAME, kernels=kernels)
-
-
 _BUILDERS: dict[str, Callable[[], Backend]] = {
     "cext": _build_cext_backend,
-    "numba": _build_numba_backend,
 }
 
 
@@ -254,13 +241,13 @@ def _resolve() -> Backend:
     mode = os.environ.get(_ENV_VAR, "").strip().lower()
     if mode in ("0", "numpy"):
         return NUMPY_BACKEND
-    if mode in ("cext", "numba"):
+    if mode in _BUILDERS:
         return resolve_backend(mode)
     if mode == "1":
         errors = []
-        for name in ("cext", "numba"):
+        for name, build in _BUILDERS.items():
             try:
-                return _BUILDERS[name]()
+                return build()
             except Exception as error:
                 errors.append(f"{name}: {error}")
         raise RuntimeError(
@@ -269,9 +256,9 @@ def _resolve() -> Backend:
         )
     if mode not in ("", "auto"):
         raise RuntimeError(f"unknown {_ENV_VAR} value {mode!r}")
-    for name in ("cext", "numba"):
+    for build in _BUILDERS.values():
         try:
-            return _BUILDERS[name]()
+            return build()
         except Exception:
             continue
     return NUMPY_BACKEND

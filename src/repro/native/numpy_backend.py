@@ -1,7 +1,7 @@
 """Pure-numpy reference implementation of the native kernel contract.
 
 This backend is the semantic ground truth of :mod:`repro.native`: every
-compiled backend (C extension, numba) must be bit-identical to the functions
+compiled backend (the C extension) must be bit-identical to the functions
 here, and the dispatch layer enforces that with a probe run before trusting
 a compiled library.  It is also the operative backend under
 ``REPRO_NATIVE=0`` and on hosts with no C compiler, so it is written with

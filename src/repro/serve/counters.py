@@ -34,6 +34,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.core.evidence import violating
+
 if TYPE_CHECKING:
     from repro.engine.partial import PartialEvidenceSet
     from repro.incremental.store import EvidenceStore
@@ -57,27 +59,6 @@ class CounterSnapshot:
         return self.counts[index] / total if total else 0.0
 
 
-def partial_violation_counts(
-    partial: "PartialEvidenceSet", hitting_words: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Per-DC violating-pair counts contributed by one partial.
-
-    One histogram pass over the partial's distinct words, then one packed
-    intersection per DC: a word violates a DC when it shares no bit with
-    the DC's hitting-set word vector.
-    """
-    counts = np.zeros(len(hitting_words), dtype=np.int64)
-    if not len(hitting_words):
-        return counts
-    words, totals = partial.word_histogram()
-    if not len(words):
-        return counts
-    for index, hitting in enumerate(hitting_words):
-        violating = ~np.bitwise_and(words, hitting).any(axis=1)
-        counts[index] = int(totals[violating].sum())
-    return counts
-
-
 class ViolationCounters:
     """Per-DC violation counts maintained from delta partials alone.
 
@@ -99,8 +80,7 @@ class ViolationCounters:
     ) -> None:
         self._hitting_words = [np.asarray(words, dtype=np.uint64) for words in hitting_words]
         self._store = store
-        seed = partial_violation_counts(store.partial, self._hitting_words)
-        self._state: tuple[np.ndarray, int] = (seed, store.n_rows)
+        self._state: tuple[np.ndarray, int] = (self._count(store.partial), store.n_rows)
         self.applied_deltas = 0
         store.add_append_listener(self._on_append)
 
@@ -121,8 +101,13 @@ class ViolationCounters:
         reference swapped last, keeping concurrent readers consistent.
         """
         counts, _ = self._state
-        self._state = (counts + partial_violation_counts(delta, self._hitting_words), n_after)
+        self._state = (counts + self._count(delta), n_after)
         self.applied_deltas += 1
+
+    def _count(self, partial: "PartialEvidenceSet") -> np.ndarray:
+        """Per-DC violating-pair counts contributed by one partial."""
+        words, totals = partial.word_histogram()
+        return violating(words, self._hitting_words) @ totals
 
     # ------------------------------------------------------------------
     # Reads

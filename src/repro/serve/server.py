@@ -122,7 +122,11 @@ class StoreState:
         self.dedup = dedup
         self.recovery: dict[str, object] | None = None
         self.service: ViolationService | None = None
-        self.counters: ViolationCounters | None = None
+
+    @property
+    def counters(self) -> ViolationCounters | None:
+        """The installed service's push counters (``None`` before a declare)."""
+        return self.service.counters if self.service is not None else None
 
     def close(self) -> None:
         """Release everything that outlives a plain ``del`` (drop path).
@@ -131,10 +135,9 @@ class StoreState:
         store's listener list, and the journal keeps the WAL file handle
         open — both must be detached explicitly or a dropped tenant leaks.
         """
-        if self.counters is not None:
-            self.counters.detach()
-            self.counters = None
-        self.service = None
+        if self.service is not None:
+            self.service.detach()
+            self.service = None
         if self.journal is not None:
             self.journal.close()
 
@@ -732,32 +735,28 @@ class ViolationServer:
         source: str = "declared",
         journal: bool = True,
     ) -> dict[str, object]:
-        """Wire a constraint set to a store: service + fresh push counters.
+        """Wire a constraint set to a store: a service with fresh push counters.
 
         Runs on the executor (the counter seed is one pass over the stored
-        partial).  The service reads its admission base counts from the
-        counters, so ``check_batch`` never finalizes either.  With a
-        durable store the installed set is journaled (``journal=False``
-        only on the recovery path, which is replaying the journal).
+        partial).  The service's counters answer the reads and are the
+        admission base counts, so neither finalizes.  With a durable store
+        the installed set is journaled (``journal=False`` only on the
+        recovery path, which is replaying the journal).
         """
-        counters_box: list[ViolationCounters] = []
-        service = ViolationService(
-            state.store,
-            constraints,
-            epsilon=epsilon,
-            base_counts_provider=lambda: counters_box[0].counts(),
-        )
+        service = ViolationService(state.store, constraints, epsilon=epsilon)
         if journal and state.journal is not None:
             # Write-ahead: journal before the swap, so a journal failure
             # leaves the previous constraint set fully live.
-            state.journal.log_constraints(
-                constraint_specs(service.constraints), epsilon, source
-            )
-        if state.counters is not None:
-            state.counters.detach()  # superseded counters must stop updating
-        counters_box.append(ViolationCounters(service.hitting_words, state.store))
+            try:
+                state.journal.log_constraints(
+                    constraint_specs(service.constraints), epsilon, source
+                )
+            except BaseException:
+                service.detach()
+                raise
+        if state.service is not None:
+            state.service.detach()  # superseded counters must stop updating
         state.service = service
-        state.counters = counters_box[0]
         return {
             "store": state.name,
             "constraints": [str(dc) for dc in service.constraints],

@@ -29,7 +29,6 @@ from repro.cluster import (
     TileFoldContext,
     TransportClosed,
     TransportTimeout,
-    build_evidence_set_cluster,
     merge_partials_tree,
     parse_address,
     partial_from_shm,
@@ -39,7 +38,7 @@ from repro.cluster import (
 )
 from repro.cluster.transport import TransportError
 from repro.cluster.worker import serve
-from repro.core.evidence_builder import EVIDENCE_METHODS, build_evidence_set
+from repro.core.evidence_builder import build_evidence_set
 from repro.core.miner import ADCMiner
 from repro.core.predicate_space import build_predicate_space
 from repro.data.relation import running_example
@@ -164,9 +163,7 @@ class TestShmPlanes:
     def test_shm_workers_return_identical_evidence(self):
         relation, space, _, _, reference = make_workload()
         with LocalCluster(2, transport="local", use_shm=True) as cluster:
-            built = build_evidence_set_cluster(
-                relation, space, cluster, tile_rows=3
-            )
+            built = build_evidence_set(relation, space, cluster=cluster, tile_rows=3)
         assert_evidence_identical(built, reference)
 
     def test_shm_result_frames_are_smaller(self):
@@ -174,7 +171,7 @@ class TestShmPlanes:
         sizes = {}
         for use_shm in (False, True):
             with LocalCluster(2, transport="local", use_shm=use_shm) as cluster:
-                build_evidence_set_cluster(relation, space, cluster, tile_rows=3)
+                build_evidence_set(relation, space, cluster=cluster, tile_rows=3)
                 sizes[use_shm] = cluster.coordinator.bytes_received
         assert sizes[True] < sizes[False]
 
@@ -449,7 +446,7 @@ class TestSocketWorkers:
     def test_two_socket_workers_build_identical_evidence(self):
         relation, space, _, _, reference = make_workload()
         with LocalCluster(2, transport="socket") as cluster:
-            built = build_evidence_set_cluster(relation, space, cluster, tile_rows=3)
+            built = build_evidence_set(relation, space, cluster=cluster, tile_rows=3)
             assert cluster.n_workers == 2
         assert_evidence_identical(built, reference)
 
@@ -501,12 +498,10 @@ class TestSocketWorkers:
 class TestClusterBuilders:
     @pytest.mark.parametrize("transport", ["local", "socket"])
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_cluster_matches_tiled_for_all_transports(self, transport, n_workers):
+    def test_cluster_matches_serial_for_all_transports(self, transport, n_workers):
         relation, space, _, _, reference = make_workload()
         with LocalCluster(n_workers, transport=transport) as cluster:
-            built = build_evidence_set(
-                relation, space, method="cluster", cluster=cluster, tile_rows=3
-            )
+            built = build_evidence_set(relation, space, cluster=cluster, tile_rows=3)
         assert_evidence_identical(built, reference)
 
     def test_merge_tree_reduction_matches_left_fold(self):
@@ -517,19 +512,6 @@ class TestClusterBuilders:
         assert_evidence_identical(
             merge_partials_tree(partials).finalize(space), reference
         )
-
-    def test_cluster_method_requires_cluster_argument(self):
-        relation, space, _, _, _ = make_workload(n_rows=4)
-        with pytest.raises(ValueError, match="cluster="):
-            build_evidence_set(relation, space, method="cluster")
-
-    def test_unknown_method_error_lists_valid_methods(self):
-        relation, space, _, _, _ = make_workload(n_rows=4)
-        with pytest.raises(ValueError) as excinfo:
-            build_evidence_set(relation, space, method="bogus")
-        for method in EVIDENCE_METHODS:
-            assert method in str(excinfo.value)
-        assert "cluster" in EVIDENCE_METHODS
 
     def test_store_appends_fold_over_the_cluster(self):
         relation = running_example()
@@ -550,12 +532,7 @@ class TestMinerValidation:
             ADCMiner(n_workers=-2)
         assert ADCMiner(n_workers=1).n_workers == 1  # valid counts untouched
 
-    def test_cluster_kwarg_switches_method(self):
-        with LocalCluster(1, transport="local") as cluster:
-            miner = ADCMiner(cluster=cluster)
-            assert miner.evidence_method == "cluster"
-        with pytest.raises(ValueError, match="cluster"):
-            ADCMiner(evidence_method="cluster")
+    def test_cluster_enumeration_requires_cluster(self):
         with pytest.raises(ValueError, match="cluster"):
             ADCMiner(cluster_enumeration=True)
 

@@ -325,7 +325,6 @@ class TestDropStore:
         from repro.data.types import ColumnType
         from repro.incremental.serve import ViolationService
         from repro.incremental.store import EvidenceStore
-        from repro.serve.counters import ViolationCounters
         from repro.serve.server import StoreState, parse_predicate
         from repro.serve.scheduler import AppendScheduler
 
@@ -346,7 +345,6 @@ class TestDropStore:
             ]
             service = ViolationService(store, constraints, epsilon=0.05)
             state.service = service
-            state.counters = ViolationCounters(service.hitting_words, store)
             ref = weakref.ref(state.counters)
             state.close()  # the drop path
             state = service = None

@@ -1,8 +1,9 @@
 """Unit tests of the parallel evidence engine (scheduler, kernel, pool).
 
 Covers the adaptive tile-size budget math, the tile schedule and its shard
-partitioning, picklability of the tile kernel, and the process-pool builder
-being bit-identical to the serial tiled builder and the dense oracle.
+partitioning, picklability of the tile kernel, and the process-pool fold of
+:func:`build_evidence_set` being bit-identical to the serial fold and the
+dense oracle.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_relation
-from repro.core.evidence_builder import (
-    build_evidence_set,
-    build_evidence_set_dense,
-    build_evidence_set_tiled,
-)
+from repro.core.evidence_builder import build_evidence_set, build_evidence_set_dense
 from repro.core.miner import ADCMiner
 from repro.core.predicate_space import build_predicate_space
 from repro.engine import (
@@ -25,7 +22,6 @@ from repro.engine import (
     Tile,
     TileKernel,
     TileScheduler,
-    build_evidence_set_parallel,
     choose_tile_rows,
 )
 from repro.engine.scheduler import MAX_TILE_ROWS, MIN_TILE_ROWS, _KERNEL_PLANES
@@ -167,7 +163,7 @@ class TestTileKernel:
             if tile_partial is not None:
                 partial.add_tile(tile_partial)
         assert_evidence_identical(
-            partial.finalize(space), build_evidence_set_tiled(relation, space)
+            partial.finalize(space), build_evidence_set(relation, space)
         )
 
     def test_diagonal_1x1_tile_is_empty(self):
@@ -179,33 +175,33 @@ class TestTileKernel:
 
 class TestParallelBuilder:
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_parallel_matches_tiled_and_dense(self, n_workers):
+    def test_parallel_matches_serial_and_dense(self, n_workers):
         relation = make_random_relation(
             n_rows=23, n_string_columns=2, n_numeric_columns=2, seed=17
         )
         space = build_predicate_space(relation)
-        parallel = build_evidence_set_parallel(
+        parallel = build_evidence_set(
             relation, space, tile_rows=5, n_workers=n_workers
         )
         assert_evidence_identical(
-            parallel, build_evidence_set_tiled(relation, space, tile_rows=5)
+            parallel, build_evidence_set(relation, space, tile_rows=5)
         )
         assert_evidence_identical(parallel, build_evidence_set_dense(relation, space))
 
     def test_adaptive_tile_rows_default(self):
         relation = make_random_relation(n_rows=20, seed=3)
         space = build_predicate_space(relation)
-        parallel = build_evidence_set_parallel(relation, space, n_workers=2)
-        assert_evidence_identical(parallel, build_evidence_set_tiled(relation, space))
+        parallel = build_evidence_set(relation, space, n_workers=2)
+        assert_evidence_identical(parallel, build_evidence_set(relation, space))
 
     def test_without_participation(self):
         relation = make_random_relation(n_rows=10, seed=8)
         space = build_predicate_space(relation)
-        parallel = build_evidence_set_parallel(
+        parallel = build_evidence_set(
             relation, space, include_participation=False, n_workers=2, tile_rows=4
         )
         assert not parallel.has_participation
-        tiled = build_evidence_set_tiled(
+        tiled = build_evidence_set(
             relation, space, include_participation=False, tile_rows=4
         )
         assert np.array_equal(parallel.words, tiled.words)
@@ -213,17 +209,17 @@ class TestParallelBuilder:
 
     def test_tiny_relation_edge_cases(self):
         single = make_random_relation(n_rows=1, seed=0)
-        empty_evidence = build_evidence_set_parallel(single, build_predicate_space(single))
+        empty_evidence = build_evidence_set(single, build_predicate_space(single))
         assert len(empty_evidence) == 0
         pair = make_random_relation(n_rows=2, seed=0)
-        evidence = build_evidence_set_parallel(pair, build_predicate_space(pair), n_workers=2)
+        evidence = build_evidence_set(pair, build_predicate_space(pair), n_workers=2)
         assert evidence.recorded_pairs == 2
 
     def test_invalid_n_workers(self):
         relation = make_random_relation(n_rows=4, seed=0)
         space = build_predicate_space(relation)
         with pytest.raises(ValueError):
-            build_evidence_set_parallel(relation, space, n_workers=0)
+            build_evidence_set(relation, space, n_workers=0)
 
     def test_single_worker_never_spawns_a_pool(self, monkeypatch):
         """ADCMiner(n_workers=1) must not pay executor spin-up (satellite)."""
@@ -235,10 +231,8 @@ class TestParallelBuilder:
         monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", forbidden)
         relation = make_random_relation(n_rows=12, seed=5)
         space = build_predicate_space(relation)
-        serial = build_evidence_set_parallel(relation, space, tile_rows=3, n_workers=1)
-        assert_evidence_identical(
-            serial, build_evidence_set_tiled(relation, space, tile_rows=3)
-        )
+        serial = build_evidence_set(relation, space, tile_rows=3, n_workers=1)
+        assert_evidence_identical(serial, build_evidence_set_dense(relation, space))
 
     def test_fewer_shards_than_workers_falls_through_to_serial(self, monkeypatch):
         import repro.engine.parallel as parallel_module
@@ -250,24 +244,13 @@ class TestParallelBuilder:
         # One tile -> one shard, far fewer than the requested workers.
         relation = make_random_relation(n_rows=6, seed=2)
         space = build_predicate_space(relation)
-        serial = build_evidence_set_parallel(relation, space, tile_rows=8, n_workers=8)
-        assert_evidence_identical(
-            serial, build_evidence_set_tiled(relation, space, tile_rows=8)
-        )
+        serial = build_evidence_set(relation, space, tile_rows=8, n_workers=8)
+        assert_evidence_identical(serial, build_evidence_set_dense(relation, space))
 
-    def test_dispatcher_and_miner_integration(self):
+    def test_miner_integration(self):
         relation = make_random_relation(n_rows=14, seed=21)
-        space = build_predicate_space(relation)
-        via_dispatcher = build_evidence_set(
-            relation, space, method="parallel", n_workers=2, tile_rows=6
-        )
-        assert_evidence_identical(
-            via_dispatcher, build_evidence_set(relation, space, method="tiled", tile_rows=6)
-        )
         tiled_run = ADCMiner(function="f1", epsilon=0.05).mine(relation)
-        parallel_run = ADCMiner(
-            function="f1", epsilon=0.05, evidence_method="parallel", n_workers=2
-        ).mine(relation)
+        parallel_run = ADCMiner(function="f1", epsilon=0.05, n_workers=2).mine(relation)
         assert {str(adc.constraint) for adc in parallel_run.adcs} == {
             str(adc.constraint) for adc in tiled_run.adcs
         }

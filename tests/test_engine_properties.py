@@ -6,28 +6,21 @@ same :class:`EvidenceSet` no matter how the tiles are grouped or in what
 order the partials are merged (associativity + commutativity up to the
 id relabeling that finalization erases).  Hypothesis drives randomized
 relations, tile groupings and merge orders through that claim, and
-cross-checks the full parallel builder against the tiled builder and the
-dense oracle.
+cross-checks every executor of :func:`build_evidence_set` — serial,
+process pool, cluster, and an evidence store's seed — against the dense
+oracle.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
 from tests.test_engine import assert_evidence_identical
-from repro.core.evidence_builder import (
-    build_evidence_set_dense,
-    build_evidence_set_tiled,
-)
+from repro.core.evidence_builder import build_evidence_set, build_evidence_set_dense
 from repro.core.predicate_space import build_predicate_space
-from repro.engine import (
-    PartialEvidenceSet,
-    TileKernel,
-    TileScheduler,
-    build_evidence_set_parallel,
-)
+from repro.engine import PartialEvidenceSet, TileKernel, TileScheduler
 
 
 def _tile_partials(relation, space, tile_rows):
@@ -175,23 +168,39 @@ class TestParallelEqualsOracles:
     )
     def test_serial_engine_path_matches_oracles(self, relation, tile_rows):
         space = build_predicate_space(relation)
-        engine = build_evidence_set_parallel(
-            relation, space, tile_rows=tile_rows, n_workers=1
-        )
-        assert_evidence_identical(
-            engine, build_evidence_set_tiled(relation, space, tile_rows=tile_rows)
-        )
+        engine = build_evidence_set(relation, space, tile_rows=tile_rows)
         assert_evidence_identical(engine, build_evidence_set_dense(relation, space))
 
     @settings(max_examples=5, deadline=None)
     @given(relation=relation_strategy)
     def test_process_pool_matches_oracles(self, relation):
         space = build_predicate_space(relation)
-        pooled = build_evidence_set_parallel(relation, space, tile_rows=3, n_workers=2)
-        assert_evidence_identical(
-            pooled, build_evidence_set_tiled(relation, space, tile_rows=3)
-        )
+        pooled = build_evidence_set(relation, space, tile_rows=3, n_workers=2)
         assert_evidence_identical(pooled, build_evidence_set_dense(relation, space))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_executor_is_bit_identical(self, seed):
+        """Serial, pool, cluster and store seed all finalize to the same bytes."""
+        from repro.cluster import LocalCluster
+        from repro.incremental import EvidenceStore
+
+        relation = make_random_relation(
+            n_rows=13, n_string_columns=2, n_numeric_columns=2, seed=seed
+        )
+        space = build_predicate_space(relation)
+        reference = build_evidence_set_dense(relation, space)
+        assert_evidence_identical(build_evidence_set(relation, space), reference)
+        assert_evidence_identical(
+            build_evidence_set(relation, space, tile_rows=4, n_workers=2), reference
+        )
+        with LocalCluster(2, transport="local") as cluster:
+            assert_evidence_identical(
+                build_evidence_set(relation, space, tile_rows=4, cluster=cluster),
+                reference,
+            )
+        assert_evidence_identical(
+            EvidenceStore(relation, space=space, tile_rows=4).evidence(), reference
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(relation=relation_strategy, mask_bits=st.integers(min_value=0, max_value=2**16))
@@ -199,7 +208,7 @@ class TestParallelEqualsOracles:
         from repro.core.approximation import F2, F3Greedy
 
         space = build_predicate_space(relation)
-        engine = build_evidence_set_parallel(relation, space, tile_rows=4, n_workers=1)
+        engine = build_evidence_set(relation, space, tile_rows=4)
         oracle = build_evidence_set_dense(relation, space)
         indices = list(range(len(engine)))
         for function in (F2(), F3Greedy()):

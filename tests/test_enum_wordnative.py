@@ -11,6 +11,7 @@ dead-evidence compaction, canHit subsumption by the overlap counts).
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,3 +157,31 @@ class TestMMCSBitIdentical:
         second = enumerator.iter_minimal_hitting_sets()
         assert list(second) == expected
         assert [head] + list(first) == expected
+
+
+class TestLegacyRecursionLimit:
+    """The recursive legacy enumerators must not leak a raised recursion limit."""
+
+    LIMIT = 2_000
+
+    @pytest.fixture(autouse=True)
+    def low_limit(self):
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(self.LIMIT)
+        yield
+        sys.setrecursionlimit(previous)
+
+    def test_adc_enum_restores_limit(self):
+        LegacyADCEnum(_evidence_for(0), F1(), 0.1).enumerate()
+        assert sys.getrecursionlimit() == self.LIMIT
+
+    def test_mmcs_restores_limit(self):
+        LegacyMMCS([0b011, 0b110, 0b101], 3).enumerate()
+        assert sys.getrecursionlimit() == self.LIMIT
+
+    def test_closed_iterator_restores_limit(self):
+        search = LegacyMMCS([0b011, 0b110, 0b101], 3).iter_minimal_hitting_sets()
+        next(search)
+        assert sys.getrecursionlimit() > self.LIMIT
+        search.close()
+        assert sys.getrecursionlimit() == self.LIMIT

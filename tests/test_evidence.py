@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
-from repro.core.evidence import evidence_from_pair_masks
+from repro.core.evidence import evidence_from_pair_masks, violating
 from repro.core.evidence_builder import build_evidence_set, build_evidence_set_pairwise
 from repro.core.predicate_space import build_predicate_space
 
@@ -184,3 +186,77 @@ class TestLazyMaskViewEdgeCases:
     def test_iteration_matches_indexing(self, view_and_list):
         view, reference = view_and_list
         assert [mask for mask in view] == reference
+
+
+#: Evidence/hitting words with few bits set, so rows both share and miss
+#: bits with a hitting set; occasionally a dense random word.
+sparse_words = st.one_of(
+    st.sets(st.integers(min_value=0, max_value=63), max_size=3).map(
+        lambda bits: sum(1 << bit for bit in bits)
+    ),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+class TestViolatingKernel:
+    """``violating(words, hitting) @ weights`` against a per-pair loop."""
+
+    @staticmethod
+    def _word_rows(data, n_rows, n_words):
+        return np.array(
+            data.draw(st.lists(
+                st.lists(sparse_words, min_size=n_words, max_size=n_words),
+                min_size=n_rows, max_size=n_rows,
+            )),
+            dtype=np.uint64,
+        ).reshape(n_rows, n_words)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_pair_loop(self, data):
+        # Up to three words: predicate spaces wider than 64 bits included.
+        n_words = data.draw(st.integers(min_value=1, max_value=3))
+        n_rows = data.draw(st.integers(min_value=0, max_value=10))
+        n_dcs = data.draw(st.integers(min_value=0, max_value=4))
+        words = self._word_rows(data, n_rows, n_words)
+        hitting = self._word_rows(data, n_dcs, n_words)
+        weights = np.array(
+            data.draw(st.lists(st.integers(0, 1000), min_size=n_rows, max_size=n_rows)),
+            dtype=np.int64,
+        )
+        n_groups = data.draw(st.integers(min_value=1, max_value=3))
+        groups = np.array(
+            data.draw(st.lists(
+                st.integers(0, n_groups - 1), min_size=n_rows, max_size=n_rows
+            )),
+            dtype=np.int64,
+        )
+
+        def misses(row, dc):
+            return not any(int(a) & int(b) for a, b in zip(words[row], hitting[dc]))
+
+        # Both accepted hitting forms: a 2-D array and a list of vectors.
+        for hitting_form in (hitting, list(hitting)):
+            result = violating(words, hitting_form)
+            assert result.shape == (n_dcs, n_rows)
+            assert result.dtype == bool
+            expected = [
+                sum(int(weights[r]) for r in range(n_rows) if misses(r, d))
+                for d in range(n_dcs)
+            ]
+            assert (result @ weights).tolist() == expected
+            one_hot = groups[:, None] == np.arange(n_groups)
+            expected_per_group = [
+                [
+                    sum(1 for r in range(n_rows) if groups[r] == g and misses(r, d))
+                    for g in range(n_groups)
+                ]
+                for d in range(n_dcs)
+            ]
+            assert (result @ one_hot.astype(np.int64)).tolist() == expected_per_group
+
+    def test_zero_dcs_and_zero_rows(self):
+        words = np.zeros((0, 2), dtype=np.uint64)
+        assert violating(words, np.ones((3, 2), dtype=np.uint64)).shape == (3, 0)
+        assert violating(np.ones((5, 2), dtype=np.uint64), []).shape == (0, 5)
+        assert (violating(words, []) @ np.zeros(0, dtype=np.int64)).shape == (0,)

@@ -1,6 +1,6 @@
-"""Randomized cross-checks of the tiled evidence builder.
+"""Randomized cross-checks of the tile-engine evidence builder.
 
-The tiled builder must be indistinguishable from the dense word-plane
+:func:`build_evidence_set` must be indistinguishable from the dense word-plane
 builder and from the pairwise oracle on masks, counts, and tuple
 participation — across seeds, mixed numeric/string schemas, and odd sizes
 (``n < tile_rows``, ``n % tile_rows != 0``, tiles of edge 1).
@@ -17,7 +17,6 @@ from repro.core.evidence_builder import (
     build_evidence_set,
     build_evidence_set_dense,
     build_evidence_set_pairwise,
-    build_evidence_set_tiled,
 )
 from repro.core.predicate_space import build_predicate_space
 
@@ -46,7 +45,7 @@ class TestTiledMatchesOracles:
             n_rows=9, n_string_columns=2, n_numeric_columns=2, seed=seed
         )
         space = build_predicate_space(relation)
-        tiled = build_evidence_set_tiled(
+        tiled = build_evidence_set(
             relation, space, include_participation=True, tile_rows=tile_rows
         )
         dense = build_evidence_set_dense(relation, space, include_participation=True)
@@ -61,7 +60,7 @@ class TestTiledMatchesOracles:
         # n < tile_rows and n % tile_rows != 0 both exercised (tile_rows=4).
         relation = make_random_relation(n_rows=n_rows, seed=n_rows)
         space = build_predicate_space(relation)
-        tiled = build_evidence_set_tiled(
+        tiled = build_evidence_set(
             relation, space, include_participation=True, tile_rows=4
         )
         oracle = build_evidence_set_pairwise(relation, space, include_participation=True)
@@ -71,7 +70,7 @@ class TestTiledMatchesOracles:
     def test_tile_larger_than_relation(self):
         relation = make_random_relation(n_rows=6, seed=9)
         space = build_predicate_space(relation)
-        tiled = build_evidence_set_tiled(
+        tiled = build_evidence_set(
             relation, space, include_participation=True, tile_rows=512
         )
         oracle = build_evidence_set_pairwise(relation, space, include_participation=True)
@@ -85,7 +84,7 @@ class TestTiledMatchesOracles:
         ):
             relation = make_random_relation(n_rows=8, seed=5, **kwargs)
             space = build_predicate_space(relation)
-            tiled = build_evidence_set_tiled(relation, space, tile_rows=3)
+            tiled = build_evidence_set(relation, space, tile_rows=3)
             oracle = build_evidence_set_pairwise(relation, space)
             assert _mask_count_map(tiled) == _mask_count_map(oracle)
 
@@ -93,24 +92,21 @@ class TestTiledMatchesOracles:
         relation = make_random_relation(n_rows=4)
         space = build_predicate_space(relation)
         with pytest.raises(ValueError):
-            build_evidence_set_tiled(relation, space, tile_rows=0)
+            build_evidence_set(relation, space, tile_rows=0)
 
-    def test_dispatcher_methods(self):
+    def test_every_builder_matches_pairwise(self):
         relation = make_random_relation(n_rows=6, seed=2)
         space = build_predicate_space(relation)
         reference = _mask_count_map(build_evidence_set_pairwise(relation, space))
-        for method in ("tiled", "vectorized", "dense", "pairwise"):
-            evidence = build_evidence_set(relation, space, method=method)
-            assert _mask_count_map(evidence) == reference
-        with pytest.raises(ValueError):
-            build_evidence_set(relation, space, method="nope")
+        for builder in (build_evidence_set, build_evidence_set_dense):
+            assert _mask_count_map(builder(relation, space)) == reference
 
 
 class TestPackedWordsNative:
     def test_words_round_trip_masks(self):
         relation = make_random_relation(n_rows=7, seed=3)
         space = build_predicate_space(relation)
-        evidence = build_evidence_set_tiled(relation, space)
+        evidence = build_evidence_set(relation, space)
         assert evidence.words.dtype == np.uint64
         assert evidence.words.shape == (len(evidence), evidence.n_words)
         assert [words_to_mask(row) for row in evidence.words] == evidence.masks
@@ -118,7 +114,7 @@ class TestPackedWordsNative:
     def test_predicate_membership_matches_masks(self):
         relation = make_random_relation(n_rows=7, seed=6)
         space = build_predicate_space(relation)
-        evidence = build_evidence_set_tiled(relation, space)
+        evidence = build_evidence_set(relation, space)
         contains = evidence.predicate_membership()
         assert contains.shape == (len(space), len(evidence))
         for e, mask in enumerate(evidence.masks):
@@ -128,7 +124,7 @@ class TestPackedWordsNative:
     def test_vectorized_uncovered_queries_match_bitmask_semantics(self):
         relation = make_random_relation(n_rows=8, seed=7)
         space = build_predicate_space(relation)
-        evidence = build_evidence_set_tiled(relation, space)
+        evidence = build_evidence_set(relation, space)
         for hitting in (0, 1, 0b1010, (1 << len(space)) - 1):
             expected = [i for i, m in enumerate(evidence.masks) if m & hitting == 0]
             assert evidence.uncovered_indices(hitting) == expected
@@ -141,7 +137,7 @@ class TestProjectionKeepsParticipation:
     def test_restrict_merges_participation(self):
         relation = make_random_relation(n_rows=8, seed=1)
         space = build_predicate_space(relation)
-        evidence = build_evidence_set_tiled(relation, space, include_participation=True)
+        evidence = build_evidence_set(relation, space, include_participation=True)
         predicate_mask = 0b111111
         projected = evidence.restrict_to_predicates(predicate_mask)
         assert projected.has_participation
@@ -161,7 +157,7 @@ class TestProjectionKeepsParticipation:
 
         relation = make_random_relation(n_rows=8, seed=4)
         space = build_predicate_space(relation)
-        evidence = build_evidence_set_tiled(relation, space, include_participation=True)
+        evidence = build_evidence_set(relation, space, include_participation=True)
         projected = evidence.restrict_to_predicates(0b1111)
         all_indices = list(range(len(projected)))
         for function in (F2(), F3Greedy()):
@@ -171,7 +167,7 @@ class TestProjectionKeepsParticipation:
     def test_projection_without_participation_stays_without(self):
         relation = make_random_relation(n_rows=6, seed=8)
         space = build_predicate_space(relation)
-        evidence = build_evidence_set_tiled(relation, space, include_participation=False)
+        evidence = build_evidence_set(relation, space, include_participation=False)
         projected = evidence.restrict_to_predicates(0b11)
         assert not projected.has_participation
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
 from tests.test_engine import assert_evidence_identical
-from repro.core.evidence_builder import build_evidence_set_tiled
+from repro.core.evidence_builder import build_evidence_set
 from repro.core.predicate_space import build_predicate_space
 from repro.engine import PartialEvidenceSet, TileKernel, TileScheduler
 from repro.incremental import DeltaEvidenceBuilder, EvidenceStore, delta_tiles
@@ -145,7 +145,7 @@ class TestPartialRebase:
 
 
 def _rebuild(relation, space, include_participation=True):
-    return build_evidence_set_tiled(
+    return build_evidence_set(
         relation, space, include_participation=include_participation
     )
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
+from repro.core.approximation import F1
 from repro.core.dc import DenialConstraint
-from repro.core.miner import ADCMiner, mine_adcs
+from repro.core.evidence_builder import build_evidence_set_pairwise
+from repro.core.miner import ADCMiner, mine_adcs, run_enumeration
 from repro.core.operators import Operator
 from repro.core.predicates import same_column_predicate
 from repro.data.datasets import generate_hospital
@@ -60,14 +60,13 @@ class TestPipeline:
                           adjust_for_sample=True, max_dc_size=2, seed=3).mine(dataset.relation)
         assert result.function_name == "f1'"
 
-    def test_pairwise_evidence_method(self):
-        fast = ADCMiner(function="f1", epsilon=0.05, evidence_method="vectorized").mine(running_example())
-        slow = ADCMiner(function="f1", epsilon=0.05, evidence_method="pairwise").mine(running_example())
-        assert {c.predicates for c in fast.constraints} == {c.predicates for c in slow.constraints}
-
-    def test_invalid_evidence_method_rejected(self):
-        with pytest.raises(ValueError):
-            ADCMiner(evidence_method="bogus")
+    def test_dcs_match_pairwise_evidence(self):
+        fast = ADCMiner(function="f1", epsilon=0.05).mine(running_example())
+        oracle = build_evidence_set_pairwise(running_example(), fast.predicate_space)
+        slow, _ = run_enumeration(oracle, F1(), 0.05)
+        assert {c.predicates for c in fast.constraints} == {
+            adc.constraint.predicates for adc in slow
+        }
 
     def test_mine_adcs_wrapper(self):
         result = mine_adcs(running_example(), "f1", 0.05)

@@ -34,7 +34,6 @@ from repro.serve import (
     ViolationCounters,
 )
 from repro.serve import protocol
-from repro.serve.counters import partial_violation_counts
 
 
 def plain_rows(relation, indices):
@@ -161,10 +160,14 @@ class TestViolationCounters:
         assert counters.counts().tolist() == before
         assert counters.n_rows == 10
 
-    def test_partial_counts_empty_cases(self, mined):
+    def test_no_constraints_counts_nothing(self, mined):
         relation, space, adcs = mined
         store = EvidenceStore(relation, space=space)
-        assert partial_violation_counts(store.partial, []).tolist() == []
+        counters = ViolationCounters([], store)
+        assert counters.counts().tolist() == []
+        store.append(relation.take(range(3)))
+        assert counters.counts().tolist() == []
+        assert counters.n_rows == relation.n_rows + 3
 
 
 # ----------------------------------------------------------------------
