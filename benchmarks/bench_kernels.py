@@ -4,9 +4,9 @@ Not a paper figure: this benchmark tracks the compiled kernel layer
 (:mod:`repro.native`) against the pure-numpy reference backend it is
 dispatched over.  Three measurement families:
 
-* **micro-kernels** — ``popcount``, the fused per-evidence intersection
-  counts and the one-call tile pass on synthetic planes shaped like the
-  real workloads;
+* **micro-kernel** — the one-call tile pass on a tile of the real
+  relation (the other flat kernel, ``unique_rows``, is timed inside the
+  evidence build);
 * **end-to-end evidence build** — the tiled builder on the tax relation
   under each backend (the tile pass dominates), outputs asserted
   bit-identical;
@@ -82,21 +82,14 @@ def _best_seconds(fn, repeats: int = REPEATS, inner: int = 1) -> float:
 
 
 def _micro_rows(compiled, packed) -> list[dict[str, object]]:
-    """One row per micro-kernel: compiled vs numpy on synthetic planes."""
-    rng = np.random.default_rng(7)
+    """One row per micro-kernel: compiled vs numpy on a real tile."""
     numpy_kernels = NumpyKernels()
-
-    words = rng.integers(0, 2**64, size=1 << 20, dtype=np.uint64)
-    planes = rng.integers(0, 2**64, size=(8, 50_000), dtype=np.uint64)
-    mask = rng.integers(0, 2**64, size=8, dtype=np.uint64)
     kinds, a, b, lookup = packed
     n_words = lookup.shape[2]
     n_rows = a.shape[1]
     tile = min(128, n_rows)
 
     cases = [
-        ("popcount", lambda k: k.popcount(words)),
-        ("intersection_counts", lambda k: k.intersection_counts(planes, mask)),
         (
             "tile_plane",
             lambda k: k.tile_plane(kinds, a, b, lookup, 0, tile, 0, tile, n_words),

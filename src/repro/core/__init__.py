@@ -1,8 +1,9 @@
 """Core algorithms of the ADC reproduction.
 
 Everything the paper contributes lives here: predicate spaces, evidence
-sets, the family of approximation functions, the MMCS and ADCEnum
-enumerators, the sampling theory, and the ADCMiner pipeline.
+sets, the family of approximation functions, the ADCEnum enumerator (whose
+epsilon = 0 case is exact DC discovery), the sampling theory, and the
+ADCMiner pipeline.
 """
 
 from repro.core.operators import Operator, OrderCategory, operators_satisfiable_together
@@ -19,10 +20,7 @@ from repro.core.predicate_space import (
     build_predicate_space,
 )
 from repro.core.bitset import (
-    CriticalityPlanes,
-    bits_to_indices,
     full_bits,
-    indices_to_bits,
     pack_bool_rows,
     popcount,
     unpack_bits,
@@ -57,7 +55,6 @@ from repro.core.approximation import (
     STANDARD_FUNCTIONS,
     get_approximation_function,
 )
-from repro.core.hitting_set import MMCS, minimal_hitting_sets
 from repro.core.adc_enum import ADCEnum, DiscoveredADC, enumerate_adcs
 from repro.core.sampling import (
     SamplePlan,
@@ -92,10 +89,7 @@ __all__ = [
     "PredicateSpace",
     "PredicateSpaceConfig",
     "build_predicate_space",
-    "CriticalityPlanes",
-    "bits_to_indices",
     "full_bits",
-    "indices_to_bits",
     "pack_bool_rows",
     "popcount",
     "unpack_bits",
@@ -123,8 +117,6 @@ __all__ = [
     "F1Adjusted",
     "STANDARD_FUNCTIONS",
     "get_approximation_function",
-    "MMCS",
-    "minimal_hitting_sets",
     "ADCEnum",
     "DiscoveredADC",
     "enumerate_adcs",

@@ -3,7 +3,8 @@
 This module implements the paper's main algorithmic contribution (Section 6,
 Figures 4 and 5): a general algorithm for enumerating *minimal approximate
 hitting sets* of the evidence set w.r.t. an arbitrary valid approximation
-function, extended from the MMCS enumerator of Murakami and Uno with
+function, extended from the minimal-hitting-set enumerator of Murakami and
+Uno (Figure 3) with
 
 * an approximate base case (``1 - f(D, S) <= epsilon``) plus an explicit
   minimality check (``IsMinimal``),
@@ -14,11 +15,13 @@ function, extended from the MMCS enumerator of Murakami and Uno with
   candidate list once a predicate has been added, avoiding trivial and
   redundancy-non-minimal DCs,
 * evidence selection by *maximal* intersection with the candidate list (the
-  ablation of Figure 10 can switch back to the minimal-intersection rule of
-  MMCS or a pseudo-random rule).
+  ablation of Figure 10 can switch back to Murakami and Uno's
+  minimal-intersection rule or a pseudo-random rule).
 
 The enumerated hitting set ``S`` is a set of predicates; the reported DC is
-``S_phi = complement(S)``.
+``S_phi = complement(S)``.  Exact DC discovery is the ``epsilon = 0`` case
+of the same search, so this is the only hitting-set enumerator in the
+package.
 
 The search is **word-native and stack-explicit**: no Python-int bitmask is
 touched inside the hot loop, and no Python recursion happens at all.  All
@@ -45,18 +48,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 
 from repro.core.approximation import ApproximationFunction, F1
-from repro.core.bitset import (
-    full_bits,
-    pack_bool_rows,
-    popcount,
-    unpack_bits,
-    word_bits_list,
-)
+from repro.core.bitset import full_bits, pack_bool_rows, unpack_bits
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import EvidenceSet, masks_to_words
 from repro.core.predicate_space import iter_bits
@@ -296,64 +293,40 @@ class ADCEnum:
         predicate list in visit order.  Together with the ``"skip"`` branch
         those elements partition the search tree into the self-contained
         units :func:`repro.cluster.enum.parallel_enumerate` farms out via
-        the ``root_branch`` restriction.  Read-only: no search state is
-        touched.
+        the ``root_branch`` restriction.
+
+        The plan is read off the search workspace itself — the same root
+        load, base-case test, ``expand`` and ``hit_prepare`` calls the
+        search makes — so the selection rule and its tie-breaks have one
+        implementation.  Only the workspace's root slot is written, and
+        every search starts by reloading it.
         """
-        if self._n_evidences == 0:
-            return ("leaf", [])
-        uncovered_pairs = int(self._counts.sum())
-        cand_words = self._full_cand_words
-        cand_counts = self._intersection_counts(self._ev_planes, cand_words)
-        total = self.evidence.total_pairs
-        if total == 0 or self.function.pair_determined:
-            passes = total == 0 or (
-                self.function.violation_score_from_pair_fraction(
-                    uncovered_pairs / total, total
-                )
-                <= self.epsilon
-            )
-        else:
-            passes = self._passes_lazy(
-                np.arange(self._n_evidences, dtype=np.int64), uncovered_pairs
-            )
-        if passes:
-            return ("leaf", [])
-        selectable = (cand_counts > 0).nonzero()[0]
-        if selectable.size == 0:
+        workspace = self._get_workspace()
+        n = workspace.init_root()
+        uncov = None if self._pair_determined else workspace.uncov_view(0, n)
+        if self._passes(uncov, int(self._counts.sum())):
             return ("leaf", [])
         # call_index=1: recursive_calls is 1 when the real search's root runs.
-        chosen = self._choose_evidence(selectable, cand_counts, 1)
-        to_try = cand_words & self._ev_planes[:, chosen]
-        return ("branch", word_bits_list(to_try))
+        _, n_selectable, _, n_to_try = workspace.expand(
+            0, n, selection_code(self.selection), 1
+        )
+        if n_selectable == 0:
+            return ("leaf", [])
+        k = workspace.hit_prepare(0, n, n_to_try)
+        return ("branch", workspace.elements_list(0, k))
 
     # ------------------------------------------------------------------
     # Scoring helpers
     # ------------------------------------------------------------------
-    def _violation_score(self, uncov_indices: Sequence[int], uncovered_pairs: int) -> float:
-        """``1 - f`` for the given uncovered evidences.
+    def _passes(self, uncov: np.ndarray | list[int] | None, uncovered_pairs: int) -> bool:
+        """Threshold test ``1 - f <= epsilon`` for the given uncovered evidences.
 
-        Pair-based functions are answered from the maintained pair counter;
-        for the tuple-based ones the Proposition 5.3 pre-filter avoids the
+        Pair-based functions are answered from the maintained pair counter
+        (``uncov`` is then never read and may be ``None``); for the
+        tuple-based ones the Proposition 5.3 pre-filter rejects without the
         expensive computation when the pair-based bound already exceeds
         ``pair_bound_factor * epsilon``.
         """
-        total = self.evidence.total_pairs
-        if total == 0:
-            return 0.0
-        pair_fraction = uncovered_pairs / total
-        shortcut = self.function.violation_score_from_pair_fraction(pair_fraction, total)
-        if shortcut is not None:
-            return shortcut
-        factor = self.function.pair_bound_factor
-        if factor is not None and pair_fraction > factor * self.epsilon:
-            return math.inf
-        return self.function.violation_score(self.evidence, uncov_indices)
-
-    def _passes(self, uncov_indices: Sequence[int], uncovered_pairs: int) -> bool:
-        return self._violation_score(uncov_indices, uncovered_pairs) <= self.epsilon
-
-    def _passes_lazy(self, uncov: np.ndarray, uncovered_pairs: int) -> bool:
-        """Threshold test that only materialises index lists when necessary."""
         total = self.evidence.total_pairs
         if total == 0:
             return True
@@ -364,8 +337,7 @@ class ADCEnum:
         factor = self.function.pair_bound_factor
         if factor is not None and pair_fraction > factor * self.epsilon:
             return False
-        score = self.function.violation_score(self.evidence, uncov)
-        return score <= self.epsilon
+        return self.function.violation_score(self.evidence, uncov) <= self.epsilon
 
     def _is_minimal(
         self,
@@ -535,7 +507,7 @@ class ADCEnum:
                     )
                 else:
                     uncov = workspace.uncov_view(depth, n)
-                    passes = self._passes_lazy(uncov, uncovered_pairs)
+                    passes = self._passes(uncov, uncovered_pairs)
                 if passes:
                     if self._is_minimal(s_elements, uncov, uncovered_pairs):
                         self._emit(
@@ -576,7 +548,7 @@ class ADCEnum:
                         lost_positions = (
                             workspace.red_view(depth, n) == 0
                         ).nonzero()[0]
-                        will_cover_passes = self._passes_lazy(
+                        will_cover_passes = self._passes(
                             uncov.take(lost_positions), will_cover_pairs
                         )
                     if will_cover_passes:
@@ -629,48 +601,6 @@ class ADCEnum:
     # ------------------------------------------------------------------
     # Bookkeeping helpers
     # ------------------------------------------------------------------
-    def _choose_evidence(
-        self,
-        selectable_positions: np.ndarray,
-        cand_counts: np.ndarray,
-        call_index: int,
-    ) -> int:
-        """The evidence-selection rule (Figure 4 line 4 / Figure 10).
-
-        Single source of truth for the choice *and its tie-breaks*, shared
-        by the :meth:`_search` hot loop and :meth:`root_plan` — if the two
-        ever diverged, the distributed units would silently partition the
-        tree on the wrong chosen evidence.
-        """
-        if self.selection == "random":
-            return int(selectable_positions[call_index % selectable_positions.size])
-        intersections = cand_counts.take(selectable_positions)
-        if self.selection == "max":
-            return int(selectable_positions[int(intersections.argmax())])
-        return int(selectable_positions[int(intersections.argmin())])
-
-    @staticmethod
-    def _intersection_counts(ev_planes: np.ndarray, mask_words: np.ndarray) -> np.ndarray:
-        """Per-evidence ``|evidence ∩ mask|`` over transposed word planes.
-
-        Unrolls the word axis into contiguous 1-D popcounts, which numpy
-        executes far faster than a broadcast-and-reduce over the row-major
-        layout (predicate spaces rarely span more than a handful of words).
-        """
-        n_words = ev_planes.shape[0]
-        if n_words == 1:
-            return popcount(ev_planes[0] & mask_words[0]).astype(np.int64)
-        if n_words == 2:
-            return np.add(
-                popcount(ev_planes[0] & mask_words[0]),
-                popcount(ev_planes[1] & mask_words[1]),
-                dtype=np.int64,
-            )
-        counts = popcount(ev_planes[0] & mask_words[0]).astype(np.int64)
-        for word in range(1, n_words):
-            counts += popcount(ev_planes[word] & mask_words[word])
-        return counts
-
     def _emit(
         self,
         s_elements: list[int],

@@ -1,34 +1,25 @@
-"""Pre-refactor reference enumerators (frozen for cross-checks and benchmarks).
+"""Pre-refactor reference enumerator (frozen for cross-checks and benchmarks).
 
-``LegacyADCEnum`` and ``LegacyMMCS`` are faithful snapshots of the
-enumeration core *before* it was rebuilt on packed uint64 word planes
-(:mod:`repro.core.adc_enum` / :mod:`repro.core.hitting_set`).  They are kept
-for two purposes only:
+``LegacyADCEnum`` is a faithful snapshot of ADCEnum *before* it was rebuilt
+on packed uint64 word planes and the native search workspace
+(:mod:`repro.core.adc_enum`).  It is the one oracle of the enumeration core
+and is kept for two purposes only:
 
-* the cross-check tests assert that the word-native enumerators emit
-  **bit-identical** output lists (same masks, same order, same scores);
+* the cross-check tests assert that :class:`~repro.core.adc_enum.ADCEnum`
+  emits a **bit-identical** output list (same masks, same order, same
+  scores) with the same search-tree counters;
 * ``benchmarks/bench_enum_core.py`` measures the word-native speedup against
   this exact pre-refactor baseline.
 
-Do not use these classes in the pipeline; they deliberately retain the
-Python-int mask churn (per-node ``mask_to_words`` splits, ``evidence.masks``
-lookups, ``dict[int, set[int]]`` criticality bookkeeping with ``np.fromiter``
+Do not use it in the pipeline; it deliberately retains the Python-int mask
+churn (per-node ``mask_to_words`` splits, ``evidence.masks`` lookups,
+``dict[int, set[int]]`` criticality bookkeeping with ``np.fromiter``
 round-trips) that the word-native core eliminates.
-
-One deviation from the historical code is pinned down on purpose:
-``LegacyMMCS._choose_subset`` iterates the uncovered set in **sorted index
-order** rather than Python-set order, so its tie-breaking (lowest index among
-the subsets with the fewest candidate elements) is well defined.  The
-word-native :class:`~repro.core.hitting_set.MMCS` implements the same rule,
-which is what lets the cross-check assert exact output order instead of mere
-set equality; the enumerated *set* of minimal hitting sets is unaffected by
-the choice rule.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import sys
 from typing import Iterator, Sequence
 
@@ -38,14 +29,14 @@ from repro.core.adc_enum import DiscoveredADC, EnumerationStatistics, SelectionS
 from repro.core.approximation import ApproximationFunction, F1
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import EvidenceSet
-from repro.core.hitting_set import MMCSStatistics
+from repro.core.predicate_space import iter_bits
 
 
 @contextlib.contextmanager
 def _recursion_limit(at_least: int) -> Iterator[None]:
     """Raise the interpreter's recursion limit for one search, then restore it.
 
-    Used around the recursive generators below, so the limit comes back
+    Used around the recursive generator below, so the limit comes back
     when the generator is exhausted *or* closed early.
     """
     previous = sys.getrecursionlimit()
@@ -54,7 +45,7 @@ def _recursion_limit(at_least: int) -> Iterator[None]:
         yield
     finally:
         sys.setrecursionlimit(previous)
-from repro.core.predicate_space import iter_bits
+
 
 _WORD_BITS = 64
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
@@ -125,23 +116,7 @@ class LegacyADCEnum:
                 seen_outputs=seen_outputs,
             )
 
-    def _violation_score(self, uncov_indices: Sequence[int], uncovered_pairs: int) -> float:
-        total = self.evidence.total_pairs
-        if total == 0:
-            return 0.0
-        pair_fraction = uncovered_pairs / total
-        shortcut = self.function.violation_score_from_pair_fraction(pair_fraction, total)
-        if shortcut is not None:
-            return shortcut
-        factor = self.function.pair_bound_factor
-        if factor is not None and pair_fraction > factor * self.epsilon:
-            return math.inf
-        return self.function.violation_score(self.evidence, uncov_indices)
-
-    def _passes(self, uncov_indices: Sequence[int], uncovered_pairs: int) -> bool:
-        return self._violation_score(uncov_indices, uncovered_pairs) <= self.epsilon
-
-    def _passes_lazy(self, uncov: np.ndarray, uncovered_pairs: int) -> bool:
+    def _passes(self, uncov: Sequence[int] | np.ndarray, uncovered_pairs: int) -> bool:
         total = self.evidence.total_pairs
         if total == 0:
             return True
@@ -152,8 +127,7 @@ class LegacyADCEnum:
         factor = self.function.pair_bound_factor
         if factor is not None and pair_fraction > factor * self.epsilon:
             return False
-        score = self.function.violation_score(self.evidence, uncov)
-        return score <= self.epsilon
+        return self.function.violation_score(self.evidence, uncov) <= self.epsilon
 
     def _is_minimal(
         self,
@@ -195,7 +169,7 @@ class LegacyADCEnum:
         self.statistics.recursive_calls += 1
         space = self.evidence.space
 
-        if self._passes_lazy(uncov, uncovered_pairs):
+        if self._passes(uncov, uncovered_pairs):
             if self._is_minimal(s_elements, crit, uncov, uncovered_pairs):
                 yield from self._emit(s_mask, uncov, seen_outputs)
             return
@@ -206,7 +180,7 @@ class LegacyADCEnum:
         selectable = uncov[hittable & overlap]
         if selectable.size == 0:
             return
-        chosen = self._choose_evidence(selectable, cand_words)
+        chosen = self._select_evidence(selectable, cand_words)
         chosen_mask = self.evidence.masks[chosen]
 
         reduced_cand = cand & ~chosen_mask
@@ -215,7 +189,7 @@ class LegacyADCEnum:
         blocked = uncov[hittable & ~reduced_overlap]
         will_cover_uncov = uncov[~reduced_overlap]
         will_cover_pairs = int(self._counts[will_cover_uncov].sum())
-        if self._passes_lazy(will_cover_uncov, will_cover_pairs):
+        if self._passes(will_cover_uncov, will_cover_pairs):
             self.statistics.skip_branches += 1
             can_hit[blocked] = False
             yield from self._search(
@@ -272,7 +246,7 @@ class LegacyADCEnum:
             for member, removed in removed_from_crit.items():
                 crit[member].update(removed)
 
-    def _choose_evidence(self, selectable: np.ndarray, cand_words: np.ndarray) -> int:
+    def _select_evidence(self, selectable: np.ndarray, cand_words: np.ndarray) -> int:
         if self.selection == "random":
             return int(selectable[self.statistics.recursive_calls % selectable.size])
         intersections = np.bitwise_count(
@@ -299,88 +273,3 @@ class LegacyADCEnum:
         score = self.function.violation_score(self.evidence, uncov)
         self.statistics.outputs += 1
         yield DiscoveredADC(constraint, s_mask, score)
-
-
-class LegacyMMCS:
-    """The pre-refactor MMCS (Python sets and int masks), tie-break pinned."""
-
-    def __init__(self, subsets: Sequence[int], n_elements: int) -> None:
-        self.subsets = list(subsets)
-        self.n_elements = int(n_elements)
-        self.statistics = MMCSStatistics()
-
-    def enumerate(self) -> list[int]:
-        return list(self.iter_minimal_hitting_sets())
-
-    def iter_minimal_hitting_sets(self) -> Iterator[int]:
-        self.statistics = MMCSStatistics()
-        if any(subset == 0 for subset in self.subsets):
-            return
-        uncov = set(range(len(self.subsets)))
-        cand = (1 << self.n_elements) - 1
-        crit: dict[int, set[int]] = {}
-        with _recursion_limit(10_000):
-            yield from self._search(0, crit, uncov, cand)
-
-    def _search(
-        self,
-        current: int,
-        crit: dict[int, set[int]],
-        uncov: set[int],
-        cand: int,
-    ) -> Iterator[int]:
-        self.statistics.recursive_calls += 1
-        if not uncov:
-            self.statistics.outputs += 1
-            yield current
-            return
-        chosen = self._choose_subset(uncov, cand)
-        subset_mask = self.subsets[chosen]
-        to_try = subset_mask & cand
-        cand &= ~subset_mask
-        for element in iter_bits(to_try):
-            newly_covered, removed_from_crit = self._update_crit_uncov(element, current, crit, uncov)
-            if all(crit[member] for member in iter_bits(current)):
-                yield from self._search(current | (1 << element), crit, uncov, cand)
-                cand |= 1 << element
-            else:
-                self.statistics.pruned_by_criticality += 1
-            self._undo_crit_uncov(element, crit, uncov, newly_covered, removed_from_crit)
-
-    def _choose_subset(self, uncov: set[int], cand: int) -> int:
-        # Sorted iteration pins the tie-break to the lowest index (see the
-        # module docstring); the historical code iterated in set order.
-        return min(sorted(uncov), key=lambda index: bin(self.subsets[index] & cand).count("1"))
-
-    def _update_crit_uncov(
-        self,
-        element: int,
-        current: int,
-        crit: dict[int, set[int]],
-        uncov: set[int],
-    ) -> tuple[list[int], dict[int, list[int]]]:
-        element_bit = 1 << element
-        newly_covered = [index for index in uncov if self.subsets[index] & element_bit]
-        for index in newly_covered:
-            uncov.discard(index)
-        crit[element] = set(newly_covered)
-        removed_from_crit: dict[int, list[int]] = {}
-        for member in iter_bits(current):
-            removed = [index for index in crit[member] if self.subsets[index] & element_bit]
-            if removed:
-                removed_from_crit[member] = removed
-                crit[member].difference_update(removed)
-        return newly_covered, removed_from_crit
-
-    def _undo_crit_uncov(
-        self,
-        element: int,
-        crit: dict[int, set[int]],
-        uncov: set[int],
-        newly_covered: list[int],
-        removed_from_crit: dict[int, list[int]],
-    ) -> None:
-        uncov.update(newly_covered)
-        crit.pop(element, None)
-        for member, removed in removed_from_crit.items():
-            crit[member].update(removed)

@@ -1,9 +1,9 @@
 """Native-speed kernel layer.
 
 Compiled implementations of the enumeration and evidence-build hot paths —
-popcount/intersection kernels, the criticality planes, the per-tile
-predicate pass, and the explicit-stack search arena — behind a
-feature-detected dispatch (:mod:`repro.native.dispatch`).  The pure-numpy
+the per-tile predicate pass, the evidence-row dedup, and the explicit-stack
+search arena (criticality planes included) — behind a feature-detected
+dispatch (:mod:`repro.native.dispatch`).  The pure-numpy
 reference (:mod:`repro.native.numpy_backend`) defines the semantics; a
 compiled backend is only used after reproducing it bit for bit on a probe.
 

@@ -21,15 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.native import numpy_backend
-from repro.native.numpy_backend import DESCENDED, PRUNED, REPLAYED, NumpySearchWorkspace
+from repro.native.numpy_backend import DESCENDED, NumpySearchWorkspace
 
 NAME = "cext"
 
 _CDEF = """
-void adc_popcount(intptr_t, int64_t, intptr_t);
-void adc_intersection_counts(intptr_t, int64_t, int32_t, int64_t, intptr_t, intptr_t);
-int32_t adc_crit_apply(intptr_t, int64_t, int32_t, int64_t, intptr_t, intptr_t, intptr_t);
 void adc_crit_undo(intptr_t, int64_t, int32_t, int64_t, intptr_t);
 void adc_tile_plane(intptr_t, int64_t, intptr_t, intptr_t, int64_t, intptr_t,
                     int32_t, int64_t, int64_t, int64_t, int64_t, intptr_t);
@@ -52,9 +48,6 @@ int32_t adc_search_try_hit(intptr_t, int64_t, int32_t, int64_t, intptr_t,
 """
 
 _FUNCTIONS = (
-    "adc_popcount",
-    "adc_intersection_counts",
-    "adc_crit_apply",
     "adc_crit_undo",
     "adc_tile_plane",
     "adc_unique_rows",
@@ -88,9 +81,6 @@ def _load_ctypes(library_path: Path):
     _KEEPALIVE.append(lib)
     intp, i64, i32 = ctypes.c_ssize_t, ctypes.c_int64, ctypes.c_int32
     signatures = {
-        "adc_popcount": (None, [intp, i64, intp]),
-        "adc_intersection_counts": (None, [intp, i64, i32, i64, intp, intp]),
-        "adc_crit_apply": (i32, [intp, i64, i32, i64, intp, intp, intp]),
         "adc_crit_undo": (None, [intp, i64, i32, i64, intp]),
         "adc_tile_plane": (None, [intp, i64, intp, intp, i64, intp, i32,
                                   i64, i64, i64, i64, intp]),
@@ -132,45 +122,12 @@ def _addr(array: np.ndarray) -> int:
 # Flat kernels
 # ---------------------------------------------------------------------------
 class CKernels:
-    """Numpy-signature wrappers over the compiled flat kernels."""
+    """Numpy-signature wrappers over the compiled evidence-build kernels."""
 
     name = NAME
 
     def __init__(self, functions: dict) -> None:
         self._fn = functions
-
-    def popcount(self, words: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(words, dtype=np.uint64)
-        out = np.empty(flat.shape, dtype=np.uint8)
-        self._fn["adc_popcount"](_addr(flat), flat.size, _addr(out))
-        return out
-
-    def intersection_counts(self, ev_planes: np.ndarray, mask_words: np.ndarray) -> np.ndarray:
-        ev = np.ascontiguousarray(ev_planes, dtype=np.uint64)
-        mask = np.ascontiguousarray(mask_words, dtype=np.uint64)
-        n_words, n_cols = ev.shape
-        out = np.empty(n_cols, dtype=np.uint32)
-        self._fn["adc_intersection_counts"](
-            _addr(ev), n_cols, n_words, n_cols, _addr(mask), _addr(out)
-        )
-        return out
-
-    def crit_apply(
-        self, rows: np.ndarray, depth: int, new_row: np.ndarray, covers: np.ndarray
-    ) -> tuple[bool, np.ndarray]:
-        n_words = rows.shape[1]
-        new_row = np.ascontiguousarray(new_row, dtype=np.uint64)
-        covers = np.ascontiguousarray(covers, dtype=np.uint64)
-        removed = np.zeros((depth, n_words), dtype=np.uint64)
-        viable = self._fn["adc_crit_apply"](
-            _addr(rows), n_words, n_words, depth, _addr(new_row), _addr(covers),
-            _addr(removed),
-        )
-        return bool(viable), removed
-
-    def crit_undo(self, rows: np.ndarray, depth: int, removed: np.ndarray) -> None:
-        n_words = rows.shape[1]
-        self._fn["adc_crit_undo"](_addr(rows), n_words, n_words, depth, _addr(removed))
 
     def tile_plane(
         self,

@@ -24,44 +24,17 @@
 #define POPCOUNT(x) ((uint64_t)__builtin_popcountll(x))
 
 /* ------------------------------------------------------------------ */
-/* Flat kernels                                                        */
+/* Criticality planes                                                  */
 /* ------------------------------------------------------------------ */
 
-/* Per-element popcount of a contiguous uint64 buffer (uint8 out, matching
- * numpy.bitwise_count). */
-void adc_popcount(intptr_t words_p, int64_t n, intptr_t out_p)
-{
-    const uint64_t *words = (const uint64_t *)words_p;
-    uint8_t *out = (uint8_t *)out_p;
-    for (int64_t i = 0; i < n; i++)
-        out[i] = (uint8_t)POPCOUNT(words[i]);
-}
-
-/* Fused |evidence ∩ mask| over a transposed (n_words, E) plane: one pass
- * per word row, accumulating uint32 counts. */
-void adc_intersection_counts(intptr_t ev_p, int64_t stride, int32_t n_words,
-                             int64_t n_cols, intptr_t mask_p, intptr_t out_p)
-{
-    const uint64_t *ev = (const uint64_t *)ev_p;
-    const uint64_t *mask = (const uint64_t *)mask_p;
-    uint32_t *out = (uint32_t *)out_p;
-    memset(out, 0, (size_t)n_cols * sizeof(uint32_t));
-    for (int32_t w = 0; w < n_words; w++) {
-        uint64_t m = mask[w];
-        if (!m)
-            continue;
-        const uint64_t *row = ev + (int64_t)w * stride;
-        for (int64_t e = 0; e < n_cols; e++)
-            out[e] += (uint32_t)POPCOUNT(row[e] & m);
-    }
-}
-
-/* CriticalityPlanes.apply as one fused pass: strip `covers` from every
- * member row (recording the removed bits), test viability, install the new
- * row at `depth`.  Returns 1 when every previous member keeps a bit. */
-int32_t adc_crit_apply(intptr_t rows_p, int64_t stride, int32_t n_words,
-                       int64_t depth, intptr_t new_row_p, intptr_t covers_p,
-                       intptr_t removed_p)
+/* Criticality push as one fused pass: strip `covers` from every member row
+ * (recording the removed bits), test viability, install the new row at
+ * `depth`.  Returns 1 when every previous member keeps a bit.  Internal to
+ * adc_search_try_hit. */
+static int32_t adc_crit_apply(intptr_t rows_p, int64_t stride,
+                              int32_t n_words, int64_t depth,
+                              intptr_t new_row_p, intptr_t covers_p,
+                              intptr_t removed_p)
 {
     uint64_t *rows = (uint64_t *)rows_p;
     const uint64_t *new_row = (const uint64_t *)new_row_p;
@@ -85,7 +58,9 @@ int32_t adc_crit_apply(intptr_t rows_p, int64_t stride, int32_t n_words,
     return viable;
 }
 
-/* CriticalityPlanes.undo: restore the removed bits of every member row. */
+/* Criticality pop: restore the removed bits of every member row (called by
+ * adc_search_try_hit and, after a descended subtree returns, by the
+ * workspace's crit_pop). */
 void adc_crit_undo(intptr_t rows_p, int64_t stride, int32_t n_words,
                    int64_t depth, intptr_t removed_p)
 {

@@ -12,9 +12,10 @@ unset (auto)          C extension if it compiles *and* passes the probe,
                       does not build or fails the probe.
 ====================  =====================================================
 
-A compiled backend is only trusted after a **probe**: every flat kernel and
-the search-workspace operations are run on small deterministic inputs and
-compared bit for bit against the numpy reference.  A backend that throws or
+A compiled backend is only trusted after a **probe**: both flat kernels
+(the tile pass and the row dedup) and the search-workspace operations are
+run on small deterministic inputs and compared bit for bit against the
+numpy reference.  A backend that throws or
 mismatches is rejected — under auto resolution that silently falls back to
 numpy; under an explicit request it raises, because a silently-different
 compiled kernel is precisely the failure mode the probe exists to catch.
@@ -39,17 +40,14 @@ _ENV_VAR = "REPRO_NATIVE"
 class Backend:
     """One resolved kernel provider.
 
-    ``kernels`` carries the flat kernels (popcount, intersection counts,
-    criticality apply/undo, tile pass); ``workspace_factory`` builds the
+    ``kernels`` carries the flat kernels of the evidence build
+    (``tile_plane``, ``unique_rows``); ``workspace_factory`` builds the
     explicit-stack search arena (``None`` means the shared numpy arena).
-    ``native_search`` tells benchmarks whether the search arena itself is
-    compiled, as opposed to only the flat kernels.
     """
 
     name: str
     kernels: object
     workspace_factory: Callable[..., NumpySearchWorkspace] | None = None
-    native_search: bool = False
 
     def make_search_workspace(self, *args, **kwargs) -> NumpySearchWorkspace:
         if self.workspace_factory is None:
@@ -65,33 +63,6 @@ NUMPY_BACKEND = Backend(name=numpy_backend.NAME, kernels=NumpyKernels())
 # ---------------------------------------------------------------------------
 def _probe_flat_kernels(kernels) -> None:
     rng = np.random.default_rng(7)
-    reference = NumpyKernels()
-
-    words = rng.integers(0, 2**64, size=37, dtype=np.uint64)
-    if not np.array_equal(kernels.popcount(words), reference.popcount(words)):
-        raise AssertionError("popcount mismatch")
-
-    ev = rng.integers(0, 2**64, size=(3, 29), dtype=np.uint64)
-    mask = rng.integers(0, 2**64, size=3, dtype=np.uint64)
-    theirs = np.asarray(kernels.intersection_counts(ev, mask), dtype=np.int64)
-    ours = np.asarray(reference.intersection_counts(ev, mask), dtype=np.int64)
-    if not np.array_equal(theirs, ours):
-        raise AssertionError("intersection_counts mismatch")
-
-    for depth in (0, 1, 4):
-        rows_a = rng.integers(1, 2**64, size=(depth + 1, 2), dtype=np.uint64)
-        rows_b = rows_a.copy()
-        new_row = rng.integers(0, 2**64, size=2, dtype=np.uint64)
-        covers = rng.integers(0, 2**64, size=2, dtype=np.uint64)
-        viable_a, removed_a = kernels.crit_apply(rows_a, depth, new_row, covers)
-        viable_b, removed_b = reference.crit_apply(rows_b, depth, new_row, covers)
-        if viable_a != viable_b or not np.array_equal(rows_a, rows_b):
-            raise AssertionError("crit_apply mismatch")
-        kernels.crit_undo(rows_a, depth, removed_a)
-        reference.crit_undo(rows_b, depth, removed_b)
-        if not np.array_equal(rows_a, rows_b):
-            raise AssertionError("crit_undo mismatch")
-
     kinds = np.array([0, 1, 2], dtype=np.int32)
     n_rows, n_words = 6, 2
     a = np.zeros((3, n_rows), dtype=np.float64)
@@ -211,57 +182,44 @@ def _build_cext_backend() -> Backend:
         return cext.CextSearchWorkspace(functions, *args, **kwargs)
 
     _probe_workspace(factory)
-    return Backend(
-        name=cext.NAME, kernels=kernels, workspace_factory=factory,
-        native_search=True,
-    )
-
-
-_BUILDERS: dict[str, Callable[[], Backend]] = {
-    "cext": _build_cext_backend,
-}
+    return Backend(name=cext.NAME, kernels=kernels, workspace_factory=factory)
 
 
 def resolve_backend(name: str) -> Backend:
     """Build and probe one backend by name; raises when unavailable."""
     if name in ("numpy", "0"):
         return NUMPY_BACKEND
-    if name in _BUILDERS:
-        try:
-            return _BUILDERS[name]()
-        except Exception as error:
-            raise RuntimeError(
-                f"REPRO_NATIVE requested the {name!r} backend, but it is "
-                f"unavailable: {error}"
-            ) from error
-    raise RuntimeError(f"unknown REPRO_NATIVE backend {name!r}")
+    if name != "cext":
+        raise RuntimeError(f"unknown REPRO_NATIVE backend {name!r}")
+    try:
+        return _build_cext_backend()
+    except Exception as error:
+        raise RuntimeError(
+            f"REPRO_NATIVE requested the {name!r} backend, but it is "
+            f"unavailable: {error}"
+        ) from error
 
 
 def _resolve() -> Backend:
     mode = os.environ.get(_ENV_VAR, "").strip().lower()
     if mode in ("0", "numpy"):
         return NUMPY_BACKEND
-    if mode in _BUILDERS:
+    if mode == "cext":
         return resolve_backend(mode)
     if mode == "1":
-        errors = []
-        for name, build in _BUILDERS.items():
-            try:
-                return build()
-            except Exception as error:
-                errors.append(f"{name}: {error}")
-        raise RuntimeError(
-            "REPRO_NATIVE=1 requires a compiled backend, but none is "
-            "available — " + "; ".join(errors)
-        )
+        try:
+            return _build_cext_backend()
+        except Exception as error:
+            raise RuntimeError(
+                "REPRO_NATIVE=1 requires a compiled backend, but none is "
+                f"available — cext: {error}"
+            ) from error
     if mode not in ("", "auto"):
         raise RuntimeError(f"unknown {_ENV_VAR} value {mode!r}")
-    for build in _BUILDERS.values():
-        try:
-            return build()
-        except Exception:
-            continue
-    return NUMPY_BACKEND
+    try:
+        return _build_cext_backend()
+    except Exception:
+        return NUMPY_BACKEND
 
 
 _active: Backend | None = None

@@ -10,16 +10,17 @@ fused word loops over transposed planes, no Python-int bitmask churn.
 
 Two layers share this module:
 
-* **Flat kernels** (:class:`NumpyKernels`) — stateless array-in/array-out
-  functions mirroring the C entry points one to one (popcount,
-  intersection counts, criticality apply/undo, the tile pass).  These are
-  what the hypothesis identity tests and the dispatch probe exercise.
+* **Flat kernels** (:class:`NumpyKernels`) — the two stateless
+  array-in/array-out calls of the evidence build, mirroring their C entry
+  points one to one: the tile pass (``tile_plane``) and the row dedup
+  (``unique_rows``).  These are what the hypothesis identity tests and the
+  dispatch probe exercise.
 * **Search workspace** (:class:`NumpySearchWorkspace`) — the arena the
-  explicit-stack ``ADCEnum._search`` drives.  One workspace owns per-depth
-  slots of reusable buffers (evidence plane, overlap counters, candidate
-  planes, criticality rows) so a search node allocates nothing; the
-  compiled workspaces implement the same interface with the buffers handed
-  to C.
+  explicit-stack ``ADCEnum._run_search`` drives.  One workspace owns
+  per-depth slots of reusable buffers (evidence plane, overlap counters,
+  candidate planes, criticality rows) so a search node allocates nothing;
+  the compiled workspaces implement the same interface with the buffers
+  handed to C.
 """
 
 from __future__ import annotations
@@ -53,44 +54,6 @@ class NumpyKernels:
     """Stateless reference kernels (see the C source for the contracts)."""
 
     name = NAME
-
-    @staticmethod
-    def popcount(words: np.ndarray) -> np.ndarray:
-        """Per-element popcount of a uint64 array (uint8 result)."""
-        return np.bitwise_count(words)
-
-    @staticmethod
-    def intersection_counts(ev_planes: np.ndarray, mask_words: np.ndarray) -> np.ndarray:
-        """Per-column ``|evidence ∩ mask|`` over a transposed word plane.
-
-        ``ev_planes`` is ``(n_words, E)`` uint64, ``mask_words`` ``(n_words,)``;
-        returns uint32 counts of length ``E``.  Unrolled over the (short)
-        word axis so each pass is one contiguous 1-D popcount.
-        """
-        n_words = ev_planes.shape[0]
-        counts = np.bitwise_count(ev_planes[0] & mask_words[0]).astype(np.uint32)
-        for word in range(1, n_words):
-            counts += np.bitwise_count(ev_planes[word] & mask_words[word])
-        return counts
-
-    @staticmethod
-    def crit_apply(
-        rows: np.ndarray, depth: int, new_row: np.ndarray, covers: np.ndarray
-    ) -> tuple[bool, np.ndarray]:
-        """Criticality push: strip ``covers`` from ``rows[:depth]``, install
-        ``new_row`` at ``depth``; returns ``(viable, removed)`` where
-        ``removed`` restores the stripped bits via :meth:`crit_undo`."""
-        members = rows[:depth]
-        removed = members & covers
-        members ^= removed
-        viable = bool(members.any(axis=1).all()) if depth else True
-        rows[depth] = new_row
-        return viable, removed
-
-    @staticmethod
-    def crit_undo(rows: np.ndarray, depth: int, removed: np.ndarray) -> None:
-        """Criticality pop: restore the bits ``crit_apply`` stripped."""
-        rows[:depth] |= removed
 
     @staticmethod
     def tile_plane(
@@ -158,6 +121,19 @@ class NumpyKernels:
 # ---------------------------------------------------------------------------
 # Search workspace
 # ---------------------------------------------------------------------------
+def _overlap_counts(ev_planes: np.ndarray, mask_words: np.ndarray) -> np.ndarray:
+    """Per-column ``|evidence ∩ mask|`` over a transposed word plane.
+
+    ``ev_planes`` is ``(n_words, E)`` uint64, ``mask_words`` ``(n_words,)``;
+    returns uint32 counts of length ``E``.  Unrolled over the (short) word
+    axis so each pass is one contiguous 1-D popcount.
+    """
+    counts = np.bitwise_count(ev_planes[0] & mask_words[0]).astype(np.uint32)
+    for word in range(1, ev_planes.shape[0]):
+        counts += np.bitwise_count(ev_planes[word] & mask_words[word])
+    return counts
+
+
 class _Slot:
     """Reusable buffers of one search depth, grown on demand.
 
@@ -212,7 +188,7 @@ class _Slot:
 
 
 class NumpySearchWorkspace:
-    """Arena-backed search state driven by the explicit-stack ``_search``.
+    """Arena-backed search state driven by the explicit-stack ``_run_search``.
 
     The workspace owns one :class:`_Slot` per search depth plus the shared
     criticality plane; the driver threads only scalars (depth, evidence
@@ -286,7 +262,7 @@ class NumpySearchWorkspace:
         slot = self._slot(0, n)
         slot.ev[:, :n] = self._ev_root
         slot.pairs[:n] = self._counts_root
-        slot.cin[:n] = NumpyKernels.intersection_counts(self._ev_root, self._full_cand)
+        slot.cin[:n] = _overlap_counts(self._ev_root, self._full_cand)
         slot.cand_in[:] = self._full_cand
         slot.uncov_bits[:] = 0
         full_words, remainder = divmod(n, 64)
@@ -435,7 +411,7 @@ class NumpySearchWorkspace:
             child.uncov[:m] = slot.uncov[:n].take(keep)
         child_pairs = int(child.pairs[:m].sum())
         np.bitwise_and(slot.cand_loop, self._group_inv[element], out=child.cand_in)
-        child.cin[:m] = NumpyKernels.intersection_counts(child.ev[:, :m], child.cand_in)
+        child.cin[:m] = _overlap_counts(child.ev[:, :m], child.cand_in)
         child.uncov_bits[:] = slot.child_bits_block[position]
         return DESCENDED, element, m, child_pairs
 

@@ -21,6 +21,7 @@ from repro.core.evidence_builder import build_evidence_set
 from repro.core.miner import ADCMiner, run_enumeration
 from repro.core.predicate_space import build_predicate_space
 from repro.data.relation import running_example
+from repro.native import dispatch
 
 
 @pytest.fixture(scope="module")
@@ -43,24 +44,42 @@ def evidence_for(seed: int, n_rows: int = 10):
     return build_evidence_set(relation, space)
 
 
-class TestRootBranchRestriction:
-    @pytest.mark.parametrize("selection", ["max", "min"])
-    def test_branches_partition_the_serial_output(self, selection):
-        evidence = evidence_for(seed=5)
-        serial = ADCEnum(evidence, F1(), 0.01, selection=selection)
-        reference = serial.enumerate()
-        kind, elements = serial.root_plan()
-        assert kind == "branch" and elements
+def search_backend(name: str):
+    """The named kernel backend, skipping the test when it cannot build."""
+    try:
+        return dispatch.resolve_backend(name)
+    except RuntimeError as error:
+        pytest.skip(str(error))
 
-        merged, seen = [], set()
-        for branch in ["skip", *elements]:
-            unit = ADCEnum(
-                evidence, F1(), 0.01, selection=selection, root_branch=branch
-            )
-            for adc in unit.enumerate():
-                if adc.hitting_set_mask not in seen:
-                    seen.add(adc.hitting_set_mask)
-                    merged.append(adc)
+
+class TestRootBranchRestriction:
+    @pytest.mark.parametrize("backend", ["numpy", "cext"])
+    @pytest.mark.parametrize(
+        ("function", "epsilon"),
+        [(F1(), 0.01), (F2(), 0.05), (F3Greedy(), 0.05)],
+        ids=["f1", "f2", "f3"],
+    )
+    @pytest.mark.parametrize("selection", ["max", "min"])
+    def test_branches_partition_the_serial_output(
+        self, selection, function, epsilon, backend
+    ):
+        evidence = evidence_for(seed=5)
+        with dispatch.use_backend(search_backend(backend)):
+            serial = ADCEnum(evidence, function, epsilon, selection=selection)
+            reference = serial.enumerate()
+            kind, elements = serial.root_plan()
+            assert kind == "branch" and elements
+
+            merged, seen = [], set()
+            for branch in ["skip", *elements]:
+                unit = ADCEnum(
+                    evidence, function, epsilon, selection=selection,
+                    root_branch=branch,
+                )
+                for adc in unit.enumerate():
+                    if adc.hitting_set_mask not in seen:
+                        seen.add(adc.hitting_set_mask)
+                        merged.append(adc)
         assert signature(merged) == signature(reference)
 
     def test_root_plan_is_leaf_when_empty_set_passes(self):

@@ -1,8 +1,8 @@
 """Word-native enumeration core vs the frozen pre-refactor reference.
 
-The word-native ``ADCEnum`` and ``MMCS`` must be *bit-identical* to the
-pre-refactor implementations kept in :mod:`repro.core.legacy_enum`: same
-masks, same order, same scores, same search-tree statistics.  These
+The word-native ``ADCEnum`` must be *bit-identical* to the pre-refactor
+implementation kept in :mod:`repro.core.legacy_enum`: same masks, same
+order, same scores, same search-tree statistics.  These
 cross-checks are what licenses every representation change inside the
 recursion (packed criticality planes, incremental overlap counts,
 dead-evidence compaction, canHit subsumption by the overlap counts).
@@ -10,7 +10,6 @@ dead-evidence compaction, canHit subsumption by the overlap counts).
 
 from __future__ import annotations
 
-import random
 import sys
 
 import pytest
@@ -20,8 +19,7 @@ from tests.conftest import make_random_relation
 from repro.core.adc_enum import ADCEnum
 from repro.core.approximation import F1, F1Adjusted, F2, F3Greedy
 from repro.core.evidence_builder import build_evidence_set
-from repro.core.hitting_set import MMCS
-from repro.core.legacy_enum import LegacyADCEnum, LegacyMMCS
+from repro.core.legacy_enum import LegacyADCEnum
 from repro.core.predicate_space import build_predicate_space
 
 
@@ -121,46 +119,8 @@ class TestADCEnumBitIdentical:
         assert _discovered(enumerator.enumerate()) == _discovered(enumerator.enumerate())
 
 
-class TestMMCSBitIdentical:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_same_masks_same_order(self, seed):
-        rng = random.Random(seed)
-        n_elements = rng.randint(1, 9)
-        subsets = [
-            rng.randint(0, (1 << n_elements) - 1) for _ in range(rng.randint(0, 10))
-        ]
-        new = MMCS(subsets, n_elements)
-        old = LegacyMMCS(subsets, n_elements)
-        assert new.enumerate() == old.enumerate()
-        assert new.statistics.recursive_calls == old.statistics.recursive_calls
-        assert new.statistics.outputs == old.statistics.outputs
-        assert (
-            new.statistics.pruned_by_criticality
-            == old.statistics.pruned_by_criticality
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        subsets=st.lists(st.integers(min_value=0, max_value=255), max_size=8),
-    )
-    def test_property_same_output_list(self, subsets):
-        assert MMCS(subsets, 8).enumerate() == LegacyMMCS(subsets, 8).enumerate()
-
-    def test_interleaved_iterators_are_independent(self):
-        """Search state is per-call, so two suspended iterators over the
-        same MMCS instance must not corrupt each other."""
-        subsets = [0b011, 0b110, 0b101]
-        enumerator = MMCS(subsets, 3)
-        expected = enumerator.enumerate()
-        first = enumerator.iter_minimal_hitting_sets()
-        head = next(first)
-        second = enumerator.iter_minimal_hitting_sets()
-        assert list(second) == expected
-        assert [head] + list(first) == expected
-
-
 class TestLegacyRecursionLimit:
-    """The recursive legacy enumerators must not leak a raised recursion limit."""
+    """The recursive legacy enumerator must not leak a raised recursion limit."""
 
     LIMIT = 2_000
 
@@ -175,12 +135,8 @@ class TestLegacyRecursionLimit:
         LegacyADCEnum(_evidence_for(0), F1(), 0.1).enumerate()
         assert sys.getrecursionlimit() == self.LIMIT
 
-    def test_mmcs_restores_limit(self):
-        LegacyMMCS([0b011, 0b110, 0b101], 3).enumerate()
-        assert sys.getrecursionlimit() == self.LIMIT
-
     def test_closed_iterator_restores_limit(self):
-        search = LegacyMMCS([0b011, 0b110, 0b101], 3).iter_minimal_hitting_sets()
+        search = LegacyADCEnum(_evidence_for(0), F1(), 0.1).iter_adcs()
         next(search)
         assert sys.getrecursionlimit() > self.LIMIT
         search.close()

@@ -10,6 +10,7 @@ from repro.core.predicate_space import (
     PredicateSpaceConfig,
     build_predicate_space,
     iter_bits,
+    shared_value_fraction,
 )
 from repro.core.predicates import (
     Predicate,
@@ -18,7 +19,7 @@ from repro.core.predicates import (
     same_column_predicate,
     single_tuple_predicate,
 )
-from repro.data.relation import Relation
+from repro.data.relation import Relation, running_example
 
 
 class TestPredicate:
@@ -200,3 +201,25 @@ class TestTable3:
         assert same_column_predicate("Name", Operator.NE) in reverse
         assert same_column_predicate("Income", Operator.LT) in reverse
         assert same_column_predicate("Income", Operator.GT) not in reverse
+
+
+@pytest.fixture(scope="module")
+def relation() -> Relation:
+    return running_example()
+
+
+class TestSharedValueFraction:
+    def test_identical_columns_share_everything(self):
+        relation = Relation("r", {"a": [1, 2, 3], "b": [1, 2, 3]})
+        assert shared_value_fraction(relation, "a", "b") == 1.0
+
+    def test_disjoint_columns_share_nothing(self):
+        relation = Relation("r", {"a": [1, 2, 3], "b": [4, 5, 6]})
+        assert shared_value_fraction(relation, "a", "b") == 0.0
+
+    def test_subset_domain_counts_against_smaller_side(self):
+        relation = Relation("r", {"a": [1, 1, 2, 2], "b": [1, 2, 3, 4]})
+        assert shared_value_fraction(relation, "a", "b") == 1.0
+
+    def test_income_and_tax_do_not_qualify(self, relation):
+        assert shared_value_fraction(relation, "Income", "Tax") < 0.3
