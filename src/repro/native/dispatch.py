@@ -88,9 +88,11 @@ def _probe_flat_kernels(kernels) -> None:
 def _probe_workspace(factory: Callable[..., NumpySearchWorkspace]) -> None:
     """Drive a candidate search arena and the numpy arena in lockstep.
 
-    A small deterministic evidence space is walked through every workspace
-    operation (expand, skip-child, hit-prepare, each try-hit outcome,
-    criticality pop); any scalar or state divergence rejects the backend.
+    A small deterministic evidence space is walked depth first through every
+    workspace operation (expand under each selection rule, skip-child with
+    and without compaction, hit-prepare, each try-hit outcome, criticality
+    pop), down to hits that the criticality test prunes; any scalar or state
+    divergence rejects the backend.
     """
     rng = np.random.default_rng(11)
     n_predicates, n_evidences = 9, 7
@@ -127,41 +129,68 @@ def _probe_workspace(factory: Callable[..., NumpySearchWorkspace]) -> None:
         for ws in (candidate, reference):
             if ws.init_root() != n_evidences:
                 raise AssertionError("workspace init_root mismatch")
-        for selection in (0, 1, 2):
-            got = candidate.expand(0, n_evidences, selection, 3)
-            want = reference.expand(0, n_evidences, selection, 3)
-            if got != want:
-                raise AssertionError("workspace expand mismatch")
-        chosen, _, _, k = want
-        for compact in (True, False):
-            if candidate.skip_child(0, n_evidences, compact) != reference.skip_child(
-                0, n_evidences, compact
-            ):
-                raise AssertionError("workspace skip_child mismatch")
-        if candidate.hit_prepare(0, n_evidences, k) != reference.hit_prepare(
-            0, n_evidences, k
-        ) or candidate.elements_list(0, k) != reference.elements_list(0, k):
-            raise AssertionError("workspace hit_prepare mismatch")
-        for position in range(k):
-            descend = position % 2 == 0
-            got = candidate.try_hit(0, n_evidences, position, descend)
-            want = reference.try_hit(0, n_evidences, position, descend)
-            if got != want:
-                raise AssertionError("workspace try_hit mismatch")
-            status, _, m, _ = want
-            if status == numpy_backend.DESCENDED:
-                if not np.array_equal(
-                    candidate.cin_view(1, m), reference.cin_view(1, m)
-                ) or not np.array_equal(
-                    candidate.uncov_bits_view(1), reference.uncov_bits_view(1)
-                ):
-                    raise AssertionError("workspace child state mismatch")
-                candidate.crit_pop()
-                reference.crit_pop()
-        if not np.array_equal(
-            candidate.crit_active_rows(), reference.crit_active_rows()
-        ):
+        _probe_walk(candidate, reference, 0, n_evidences, [_PROBE_NODES])
+
+
+#: Node budget of the probe walk: enough to reach pruned hits two levels
+#: down, small enough that resolving a backend stays cheap.
+_PROBE_NODES = 48
+
+
+def _probe_walk(
+    candidate: NumpySearchWorkspace,
+    reference: NumpySearchWorkspace,
+    depth: int,
+    n: int,
+    budget: list[int],
+) -> None:
+    """Lockstep depth-first walk below one node, with no threshold test.
+
+    Each node expands under a rotating selection rule, descends its skip
+    child, then runs its whole hit loop, descending on two of every three
+    positions; criticality rows are compared after every push and pop.
+    """
+    budget[0] -= 1
+    if n == 0 or budget[0] < 0:
+        return
+    selection = budget[0] % 3
+    want = reference.expand(depth, n, selection, budget[0])
+    if candidate.expand(depth, n, selection, budget[0]) != want:
+        raise AssertionError("workspace expand mismatch")
+    _, n_selectable, _, n_to_try = want
+    if n_selectable == 0:
+        return
+    compact = depth % 2 == 0
+    m = reference.skip_child(depth, n, compact)
+    if candidate.skip_child(depth, n, compact) != m:
+        raise AssertionError("workspace skip_child mismatch")
+    _probe_walk(candidate, reference, depth + 1, m, budget)
+    k = reference.hit_prepare(depth, n, n_to_try)
+    if candidate.hit_prepare(depth, n, n_to_try) != k or candidate.elements_list(
+        depth, k
+    ) != reference.elements_list(depth, k):
+        raise AssertionError("workspace hit_prepare mismatch")
+    for position in range(k):
+        descend = position % 3 != 1
+        want = reference.try_hit(depth, n, position, descend)
+        if candidate.try_hit(depth, n, position, descend) != want:
+            raise AssertionError("workspace try_hit mismatch")
+        if not np.array_equal(candidate.crit_active_rows(), reference.crit_active_rows()):
             raise AssertionError("workspace criticality mismatch")
+        status, _, m, _ = want
+        if status != numpy_backend.DESCENDED:
+            continue
+        if not np.array_equal(
+            candidate.cin_view(depth + 1, m), reference.cin_view(depth + 1, m)
+        ) or not np.array_equal(
+            candidate.uncov_bits_view(depth + 1), reference.uncov_bits_view(depth + 1)
+        ):
+            raise AssertionError("workspace child state mismatch")
+        _probe_walk(candidate, reference, depth + 1, m, budget)
+        candidate.crit_pop()
+        reference.crit_pop()
+        if not np.array_equal(candidate.crit_active_rows(), reference.crit_active_rows()):
+            raise AssertionError("workspace crit_pop mismatch")
 
 
 # ---------------------------------------------------------------------------
